@@ -70,7 +70,7 @@ WORKLOAD = {
 #   4 — adds the engine-sparse chain (repro.cluster.sparse_jobs):
 #       deterministic candidate-pair count (exact gate, cross-checked
 #       against the in-process join before recording), chain shuffle
-#       bytes (tolerance gate — _approx_bytes sampling is deterministic
+#       bytes (tolerance gate — approx_records_bytes sampling is deterministic
 #       but pickle sizes can shift across python versions), round count
 #       (exact), and the chain's wall time.
 #   5 — adds the external spill-to-disk shuffle: ``spill_parity`` (exact

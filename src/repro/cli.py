@@ -130,7 +130,7 @@ def cmd_cluster(args) -> int:
         stats = run.sparse_stats
         print(
             f"# sparse: {stats['candidate_pairs']} candidate pairs, "
-            f"{stats['rounds']} round(s), "
+            f"{stats['edges']} edges, {stats['rounds']} round(s), "
             f"{stats['shuffle_bytes']} shuffle bytes",
             file=sys.stderr,
         )

@@ -31,7 +31,6 @@ from repro.cluster.representatives import (
 )
 from repro.cluster.sparse import (
     candidate_pairs,
-    candidate_pairs_mapreduce,
     greedy_from_edges,
     single_linkage_from_edges,
     sparse_greedy_cluster,
@@ -71,7 +70,6 @@ __all__ = [
     "select_representatives",
     "representative_records",
     "candidate_pairs",
-    "candidate_pairs_mapreduce",
     "greedy_from_edges",
     "single_linkage_from_edges",
     "sparse_similarity",

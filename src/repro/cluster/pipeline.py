@@ -456,44 +456,27 @@ class MrMCMinH:
                 "spill_bytes": engine_run.counters.get("shuffle", "spill_bytes"),
             }
         elif mode == "sparse":
-            from repro.cluster.sparse import (
-                candidate_pairs_mapreduce,
-                sparse_greedy_cluster,
-                sparse_single_linkage,
-            )
+            from repro.cluster.sparse import candidate_pair_arrays, make_edge_stream
 
             t0 = time.perf_counter()
             with tracer.span("phase:similarity", kind="phase"):
-                # Run the collision join through the engine for its trace;
-                # clustering itself consumes the direct API.
-                _pairs, sim_result = candidate_pairs_mapreduce(
-                    sketches,
-                    runner=self.runner,
-                    num_map_tasks=self.num_map_tasks,
-                    num_reduce_tasks=self.num_map_tasks,
-                )
-                counters.merge(sim_result.counters)
-                if sim_result.trace is not None:
-                    traces.append(sim_result.trace)
+                ii, jj, collisions = candidate_pair_arrays(sketches)
+                hits = collisions / len(sketches[0]) >= theta
             timings["similarity"] = time.perf_counter() - t0
 
             t0 = time.perf_counter()
             with tracer.span("phase:cluster", kind="phase"):
-                if self.method == "hierarchical":
-                    assignment = sparse_single_linkage(sketches, theta)
-                else:
-                    assignment = sparse_greedy_cluster(sketches, theta)
+                stream = make_edge_stream([s.read_id for s in sketches], self.method)
+                assignment = stream.cluster(zip(ii[hits].tolist(), jj[hits].tolist()))
             elapsed = time.perf_counter() - t0
             timings["cluster"] = elapsed
             traces.append(_clustering_trace("sparse-cluster", len(sketches), elapsed))
+            # In-process: no engine job, so no rounds and no shuffle.
             sparse_stats = {
-                "candidate_pairs": len(_pairs),
-                "rounds": 1,
-                "shuffle_bytes": (
-                    sim_result.trace.shuffle_bytes
-                    if sim_result.trace is not None
-                    else 0
-                ),
+                "candidate_pairs": int(ii.size),
+                "edges": stream.edges_seen,
+                "rounds": 0,
+                "shuffle_bytes": 0,
             }
         elif self.method == "hierarchical":
             t0 = time.perf_counter()

@@ -146,72 +146,24 @@ def sparse_similarity(
     return {pair: c / n for pair, c in pairs.items()}
 
 
-class _CollisionMapper:
-    """Emit ``((hash index, value), sketch index)`` for every component —
-    the grouping key of the Map-Reduce candidate-join."""
+class _EdgeStream:
+    """Shared shell of the incremental edge-stream clusterers."""
 
-    def __call__(self, key, values):
-        for h, value in enumerate(values):
-            yield (h, int(value)), key
+    def __init__(self, read_ids: Sequence[str]):
+        self.read_ids = list(read_ids)
+        if not self.read_ids:
+            raise ClusteringError("cannot cluster an empty sketch list")
+        self.edges_seen = 0
 
-
-class _PairReducer:
-    """Emit candidate pairs from one collision group."""
-
-    def __init__(self, max_group: int | None):
-        self.max_group = max_group
-
-    def __call__(self, key, members):
-        members = sorted(set(members))
-        if len(members) < 2:
-            return
-        if self.max_group is not None and len(members) > self.max_group:
-            return
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                yield (members[a], members[b]), 1
+    def cluster(self, edges) -> ClusterAssignment:
+        """:meth:`add` every ``(i, j)`` pair of ``edges`` (consumed lazily,
+        list or generator alike), then :meth:`finish`."""
+        for i, j in edges:
+            self.add(i, j)
+        return self.finish()
 
 
-def candidate_pairs_mapreduce(
-    sketches: Sequence[MinHashSketch],
-    *,
-    runner=None,
-    num_map_tasks: int = 4,
-    num_reduce_tasks: int = 4,
-    max_group: int | None = None,
-):
-    """The same collision-candidate computation as :func:`candidate_pairs`,
-    expressed as a Map-Reduce job (group by ``(hash index, value)``).
-
-    Returns ``({(i, j): collisions}, job_result)`` — the engine result
-    carries the trace the cluster simulator schedules, making the
-    Figure 2 sparse-similarity cost model a measured quantity.
-    """
-    from repro.mapreduce.job import MapReduceJob
-    from repro.mapreduce.runner import SerialRunner
-    from repro.mapreduce.types import JobConf
-
-    if not sketches:
-        raise ClusteringError("no sketches to index")
-    runner = runner or SerialRunner()
-    job = MapReduceJob(
-        name="sparse-candidates",
-        mapper=_CollisionMapper(),
-        reducer=_PairReducer(max_group),
-    )
-    inputs = [(i, s.values.tolist()) for i, s in enumerate(sketches)]
-    result = runner.run(
-        job,
-        inputs,
-        JobConf(num_map_tasks=num_map_tasks, num_reduce_tasks=num_reduce_tasks),
-    )
-    counts: dict[tuple[int, int], int] = defaultdict(int)
-    for pair, one in result.output:
-        counts[pair] += one
-    return dict(counts), result
-
-
-class SingleLinkageEdgeStream:
+class SingleLinkageEdgeStream(_EdgeStream):
     """Incremental single-linkage clustering fed one edge at a time.
 
     Feed above-threshold ``(i, j)`` index pairs through :meth:`add` as
@@ -226,11 +178,8 @@ class SingleLinkageEdgeStream:
     """
 
     def __init__(self, read_ids: Sequence[str]):
-        self.read_ids = list(read_ids)
-        if not self.read_ids:
-            raise ClusteringError("cannot cluster an empty sketch list")
+        super().__init__(read_ids)
         self._uf = UnionFind(len(self.read_ids))
-        self.edges_seen = 0
 
     def add(self, i: int, j: int) -> None:
         self._uf.union(i, j)
@@ -240,7 +189,7 @@ class SingleLinkageEdgeStream:
         return ClusterAssignment.from_labels(self.read_ids, self._uf.labels())
 
 
-class GreedyEdgeStream:
+class GreedyEdgeStream(_EdgeStream):
     """Incremental Algorithm-1 clustering fed one edge at a time.
 
     Accumulates the adjacency (O(N + edges kept) — only *above-threshold*
@@ -254,13 +203,10 @@ class GreedyEdgeStream:
     """
 
     def __init__(self, read_ids: Sequence[str]):
-        self.read_ids = list(read_ids)
-        if not self.read_ids:
-            raise ClusteringError("cannot cluster an empty sketch list")
+        super().__init__(read_ids)
         if len(set(self.read_ids)) != len(self.read_ids):
             raise ClusteringError("sketch read ids must be unique")
         self._neighbours: dict[int, list[int]] = defaultdict(list)
-        self.edges_seen = 0
 
     def add(self, i: int, j: int) -> None:
         self._neighbours[i].append(j)
@@ -311,10 +257,7 @@ def single_linkage_from_edges(
     iterable (list or generator) of ``(i, j)`` index pairs and is consumed
     lazily — results are identical either way by construction.
     """
-    stream = SingleLinkageEdgeStream(read_ids)
-    for i, j in edges:
-        stream.add(i, j)
-    return stream.finish()
+    return SingleLinkageEdgeStream(read_ids).cluster(edges)
 
 
 def greedy_from_edges(
@@ -326,10 +269,27 @@ def greedy_from_edges(
     Thin wrapper over :class:`GreedyEdgeStream`; ``edges`` is consumed
     lazily, list or generator alike.
     """
-    stream = GreedyEdgeStream(read_ids)
-    for i, j in edges:
-        stream.add(i, j)
-    return stream.finish()
+    return GreedyEdgeStream(read_ids).cluster(edges)
+
+
+def _cluster_candidates(
+    sketches: Sequence[MinHashSketch],
+    threshold: float,
+    method: str,
+    max_group: int | None,
+) -> ClusterAssignment:
+    """Feed the above-threshold collision candidates to ``method``'s
+    edge-stream clusterer (see :func:`make_edge_stream`)."""
+    if not sketches:
+        raise ClusteringError("cannot cluster an empty sketch list")
+    if not 0.0 < threshold <= 1.0:
+        raise ClusteringError(
+            f"threshold must be in (0, 1] for the sparse path, got {threshold}"
+        )
+    ii, jj, collisions = candidate_pair_arrays(sketches, max_group=max_group)
+    hits = collisions / len(sketches[0]) >= threshold
+    stream = make_edge_stream([s.read_id for s in sketches], method)
+    return stream.cluster(zip(ii[hits].tolist(), jj[hits].tolist()))
 
 
 def sparse_single_linkage(
@@ -346,19 +306,7 @@ def sparse_single_linkage(
     contains every merging edge and the result equals the dense
     computation (with ``max_group=None``).
     """
-    if not sketches:
-        raise ClusteringError("cannot cluster an empty sketch list")
-    if not 0.0 < threshold <= 1.0:
-        raise ClusteringError(
-            f"threshold must be in (0, 1] for the sparse path, got {threshold}"
-        )
-    ii, jj, collisions = candidate_pair_arrays(sketches, max_group=max_group)
-    num_hashes = len(sketches[0])
-    hits = collisions / num_hashes >= threshold
-    return single_linkage_from_edges(
-        [s.read_id for s in sketches],
-        zip(ii[hits].tolist(), jj[hits].tolist()),
-    )
+    return _cluster_candidates(sketches, threshold, "hierarchical", max_group)
 
 
 def sparse_greedy_cluster(
@@ -374,18 +322,4 @@ def sparse_greedy_cluster(
     for θ > 0 (zero-collision pairs cannot clear any positive θ), but each
     representative only scores sequences it collides with.
     """
-    if not sketches:
-        raise ClusteringError("cannot cluster an empty sketch list")
-    if not 0.0 < threshold <= 1.0:
-        raise ClusteringError(
-            f"threshold must be in (0, 1] for the sparse path, got {threshold}"
-        )
-    ii, jj, collisions = candidate_pair_arrays(sketches, max_group=max_group)
-    num_hashes = len(sketches[0])
-    hits = collisions / num_hashes >= threshold
-    # Only above-threshold edges can ever join a cluster; drop the rest
-    # before the assignment sweep.
-    return greedy_from_edges(
-        [s.read_id for s in sketches],
-        zip(ii[hits].tolist(), jj[hits].tolist()),
-    )
+    return _cluster_candidates(sketches, threshold, "greedy", max_group)

@@ -54,11 +54,7 @@ import numpy as np
 
 from repro.errors import ClusteringError, SparseCompatibilityError
 from repro.cluster.assignments import ClusterAssignment
-from repro.cluster.sparse import (
-    greedy_from_edges,
-    make_edge_stream,
-    single_linkage_from_edges,
-)
+from repro.cluster.sparse import make_edge_stream
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import MapReduceJob, identity_mapper
 from repro.mapreduce.types import JobConf, JobTrace, stable_hash
@@ -447,14 +443,11 @@ def run_sparse_jobs(
     if threshold is not None:
         t0 = time.perf_counter()
         with tracer.span("phase:cluster", kind="phase", num_edges=edge_count):
-            if clusterer is not None:
-                assignment = clusterer.finish()
+            if clusterer is None:
+                clusterer = make_edge_stream([s.read_id for s in sketches], method)
+                assignment = clusterer.cluster(edges)
             else:
-                read_ids = [s.read_id for s in sketches]
-                if method == "hierarchical":
-                    assignment = single_linkage_from_edges(read_ids, edges)
-                else:
-                    assignment = greedy_from_edges(read_ids, edges)
+                assignment = clusterer.finish()
         timings["cluster"] = time.perf_counter() - t0
         counters.increment("sparse_jobs", "clusters", assignment.num_clusters)
 

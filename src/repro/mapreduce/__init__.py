@@ -5,10 +5,12 @@ execution substrate in pure Python:
 
 * :mod:`repro.mapreduce.job` — job definitions (mapper/combiner/reducer/
   partitioner) over ``(key, value)`` records;
-* :mod:`repro.mapreduce.runner` — a deterministic serial runner that also
-  records a :class:`~repro.mapreduce.types.JobTrace` (task-level record and
-  byte counts) for the cluster simulator;
-* :mod:`repro.mapreduce.local` — a real multi-process runner;
+* :mod:`repro.mapreduce.runner` — the one job driver and its
+  deterministic serial executor, recording a
+  :class:`~repro.mapreduce.types.JobTrace` (task-level record and byte
+  counts) for the cluster simulator;
+* :mod:`repro.mapreduce.local` — the same driver over a real process
+  pool;
 * :mod:`repro.mapreduce.hdfs` — a block-based simulated HDFS with
   replication and locality metadata;
 * :mod:`repro.mapreduce.simulator` / :mod:`~repro.mapreduce.costmodel` —

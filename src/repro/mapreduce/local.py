@@ -1,28 +1,30 @@
-"""Multiprocess job runner: real parallelism across local cores.
+"""Multiprocess runner: the shared job driver over a local process pool.
 
-Map tasks and reduce partitions are dispatched to a ``multiprocessing``
-pool.  Jobs must be defined with picklable (module-level) mapper/reducer
-functions — the same constraint real Hadoop streaming imposes (checked up
-front so the error is clear).  On a single-core machine this degrades
-gracefully to serial in-process execution.
+:class:`MultiprocessRunner` is a :class:`~repro.mapreduce.runner.SerialRunner`
+whose phase executor is an asynchronous ``multiprocessing`` pool
+scheduler: the driver (map -> wire -> shuffle/spill -> reduce, barriers,
+counters, checkpoint recovery, ``output_sink``) is the serial runner's,
+and so are the task bodies the workers run.  Jobs must be defined with
+picklable (module-level) mapper/reducer functions — the same constraint
+real Hadoop streaming imposes (checked up front so the error is clear).
+With one worker there is no pool: the runner *is* the serial path.
 
-Execution is fault tolerant, mirroring the Hadoop TaskTracker protocol:
+What only the pool adds, mirroring the Hadoop TaskTracker protocol:
 
-* every task attempt is dispatched asynchronously and retried with
-  exponential backoff up to ``JobConf.max_task_attempts``;
-* attempts that exceed ``JobConf.task_timeout`` are abandoned (their
-  late results are discarded — the in-memory analogue of killing the
-  attempt) and re-executed;
+* attempts that exceed ``JobConf.task_timeout`` are abandoned while they
+  still run (their late results are discarded — the in-memory analogue
+  of killing the attempt), so even a worker process that died or hangs
+  for real is reclaimed, and re-executed on a respawned worker;
 * with ``JobConf.speculative_margin > 0``, a task running longer than
-  ``margin x median(completed durations)`` gets a concurrent speculative
-  backup attempt; the first result wins and the loser's output is
-  discarded exactly once;
-* with a :class:`~repro.mapreduce.faults.FaultPlan`, every attempt ships
-  a CRC32 of its output computed at production time and the driver
-  verifies it on receipt, so injected shuffle corruption is detected and
-  retried;
-* a :class:`~repro.mapreduce.faults.JobCheckpoint` restores completed
-  task outputs so a killed job resumes from the last barrier.
+  ``margin x median(completed durations)`` gets a *concurrent*
+  speculative backup attempt; the first result wins and the loser's
+  output is discarded exactly once;
+* crash isolation: a task that kills its worker process costs one
+  attempt, not the driver.
+
+Retries, backoff, checkpoints and the CRC32 check on receipt of each
+attempt's output (with a :class:`~repro.mapreduce.faults.FaultPlan`) are
+shared with the serial executor.
 
 When a :class:`~repro.obs.trace.Tracer` is active in the driver, each
 worker attempt records its own spans on a throw-away worker-local tracer
@@ -38,126 +40,62 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import get_context
+from statistics import median
 
-from repro.errors import FaultError, MapReduceError, TaskFailedError
+from repro.errors import FaultError, MapReduceError
 from repro.mapreduce.cancel import check_cancelled
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.faults import (
-    FaultPlan,
-    JobCheckpoint,
-    RetryPolicy,
-    records_checksum,
-)
+from repro.mapreduce.faults import FaultPlan, JobCheckpoint, RetryPolicy
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.runner import JobResult, SerialRunner, _approx_bytes, _median
-from repro.mapreduce.shuffle import (
-    SpillingShuffle,
-    partition_num_records,
-    shuffle,
-    sort_records,
+from repro.mapreduce.runner import (
+    Finish,
+    SerialRunner,
+    Task,
+    _attempt_body,
+    _record_failure,
+    _verify_checksum,
 )
-from repro.mapreduce.types import JobConf, JobTrace, TaskTrace
 from repro.obs.trace import NULL_TRACER, Tracer, current_tracer
-from repro.utils.chunking import chunk_indices
 
 _POLL_INTERVAL = 0.002
 
 
 def _attempt_worker(args):
-    """One task attempt, executed inside a pool worker (or inline).
+    """One task attempt, executed inside a pool worker.
 
-    Returns ``(records, task_counters, checksum, wall_seconds, obs)``.
-    The checksum is computed *before* any injected corruption — it models
-    the producer-side IFile checksum that travels with the data; the
-    driver recomputes it on receipt.  ``inline_deadline`` is only set on
-    the single-worker path, where a hung attempt cannot be abandoned from
-    outside and must give up by itself.  With ``obs_on``, the attempt is
-    recorded on a worker-local tracer whose span payload rides back in
-    ``obs`` for the driver to merge at the barrier (crashed attempts
-    return nothing — the driver synthesises their spans).
+    Returns ``(records, task_counters, checksum, seconds, obs)``; the
+    checksum travels with the data and the driver verifies it on receipt
+    (see :func:`~repro.mapreduce.runner._attempt_body`).  A hang really
+    sleeps: the driver abandons the attempt at the task deadline.  With
+    ``obs_on``, the attempt is recorded on a worker-local tracer whose
+    span payload rides back in ``obs`` for the driver to merge at the
+    barrier (crashed attempts return nothing — the driver synthesises
+    their spans).
     """
-    job, kind, index, attempt, payload, plan, task_id, inline_deadline, obs_on = args
+    job_name, task, attempt, plan, obs_on = args
     tracer = Tracer() if obs_on else NULL_TRACER
-    fault = plan.fault_for(job.name, kind, index, attempt) if plan is not None else None
-    t0 = time.perf_counter()
+    fault = (
+        plan.fault_for(job_name, task.kind, task.index, attempt)
+        if plan is not None
+        else None
+    )
     with tracer.span(
-        f"attempt:{attempt}", kind="attempt", attempt=attempt, task_id=task_id
+        f"attempt:{attempt}", kind="attempt", attempt=attempt, task_id=task.task_id
     ) as span:
         if fault is not None:
             span.attrs["fault"] = fault.kind
-        if fault is not None and fault.kind == "crash":
-            raise FaultError(
-                fault.reason or "injected crash", task_id=task_id, attempt=attempt
-            )
-        if fault is not None and fault.kind == "hang":
-            if inline_deadline is not None and fault.delay >= inline_deadline:
-                raise FaultError(
-                    f"attempt abandoned at task_timeout={inline_deadline}s "
-                    f"(hang of {fault.delay}s)",
-                    task_id=task_id,
-                    attempt=attempt,
-                )
-            time.sleep(fault.delay)
-        if fault is not None and fault.kind == "slow_node":
-            time.sleep(fault.delay)  # degraded node: latency, not failure
-        if kind == "map":
-            out, task_counters = _map_body(job, payload)
-        else:
-            out, task_counters = _reduce_body(job, payload)
-        checksum = records_checksum(out) if plan is not None else None
-        if fault is not None and fault.kind == "corrupt":
-            out = FaultPlan.corrupt_records(out, task_id)
-    wall = time.perf_counter() - t0
+            if fault.kind in ("hang", "slow_node"):
+                time.sleep(fault.delay)
+        out, task_counters, checksum, seconds = _attempt_body(
+            task, attempt, fault, plan
+        )
     obs = tracer.export_payload() if obs_on else None
-    return out, task_counters, checksum, wall, obs
-
-
-def _map_body(job: MapReduceJob, split) -> tuple[list, Counters]:
-    counters = Counters()
-    out = []
-    if job.batch_mapper is not None:
-        emitted = job.run_batch_mapper(split, counters)
-        if emitted is not None:
-            for pair in emitted:
-                if not isinstance(pair, tuple) or len(pair) != 2:
-                    raise MapReduceError(
-                        f"batch_mapper of job {job.name!r} emitted {pair!r}; "
-                        "expected (key, value) tuples"
-                    )
-                out.append(pair)
-    else:
-        for key, value in split:
-            emitted = job.run_mapper(key, value, counters)
-            if emitted is not None:
-                for pair in emitted:
-                    if not isinstance(pair, tuple) or len(pair) != 2:
-                        raise MapReduceError(
-                            f"mapper of job {job.name!r} emitted {pair!r}; "
-                            "expected (key, value) tuples"
-                        )
-                    out.append(pair)
-    if job.combiner is not None:
-        out = SerialRunner._combine(job, out)
-    return out, counters
-
-
-def _reduce_body(job: MapReduceJob, groups) -> tuple[list, Counters]:
-    counters = Counters()
-    out = []
-    for key, values in groups:
-        emitted = job.run_reducer(key, values, counters)
-        if emitted is not None:
-            for pair in emitted:
-                if not isinstance(pair, tuple) or len(pair) != 2:
-                    raise MapReduceError(
-                        f"reducer of job {job.name!r} emitted {pair!r}; "
-                        "expected (key, value) tuples"
-                    )
-                out.append(pair)
-    return out, counters
+    return out, task_counters, checksum, seconds, obs
 
 
 @dataclass
@@ -175,31 +113,25 @@ class _Attempt:
 
 @dataclass
 class _TaskState:
-    """Driver-side bookkeeping for one task of a phase."""
+    """Scheduler-side bookkeeping for one task of a phase."""
 
-    index: int
-    task_id: str
-    payload: object
-    records_in: int
+    task: Task
     attempts_launched: int = 0
     failures: list[str] = field(default_factory=list)
     done: bool = False
-    recovered: bool = False
-    speculative_win: bool = False
-    output: list = None
-    counters: Counters = None
-    wall: float = 0.0
 
 
-class MultiprocessRunner:
+class MultiprocessRunner(SerialRunner):
     """Run map and reduce tasks on a local process pool with retries.
 
     ``trace=True`` records a :class:`~repro.mapreduce.types.JobTrace` with
-    driver-measured wall times and full attempt history (off by default:
+    worker-measured task times and full attempt history (off by default:
     the serial runner remains the calibrated trace source for the cluster
-    simulator).  ``fault_plan``, ``checkpoint`` and ``retry`` mirror
-    :class:`~repro.mapreduce.runner.SerialRunner`.
+    simulator).  ``fault_plan``, ``checkpoint`` and ``retry`` are
+    :class:`~repro.mapreduce.runner.SerialRunner`'s.
     """
+
+    runner_name = "multiprocess"
 
     def __init__(
         self,
@@ -212,402 +144,59 @@ class MultiprocessRunner:
     ):
         if num_workers is not None and num_workers < 1:
             raise MapReduceError(f"num_workers must be >= 1, got {num_workers}")
+        super().__init__(
+            trace=trace, fault_plan=fault_plan, checkpoint=checkpoint, retry=retry
+        )
         self.num_workers = num_workers or max(1, os.cpu_count() or 1)
-        self.trace = trace
-        self.fault_plan = fault_plan
-        self.checkpoint = checkpoint
-        self.retry = retry
 
-    def run(
-        self,
-        job: MapReduceJob,
-        inputs: Sequence[tuple],
-        conf: JobConf | None = None,
-        *,
-        fault_plan: FaultPlan | None = None,
-        checkpoint: JobCheckpoint | None = None,
-        retry: RetryPolicy | None = None,
-        output_sink: Callable[[tuple], None] | None = None,
-    ) -> JobResult:
-        """Execute ``job`` over ``inputs`` with process-level parallelism.
-
-        ``output_sink`` streams reduce output records to the callback as
-        each reduce task completes instead of accumulating them (the
-        returned ``JobResult.output`` is empty and ``sort_output`` does
-        not apply); see :meth:`SerialRunner.run`.
-        """
-        conf = conf or JobConf()
-        plan = fault_plan if fault_plan is not None else self.fault_plan
-        ckpt = checkpoint if checkpoint is not None else self.checkpoint
-        policy = retry or self.retry or RetryPolicy.from_conf(conf)
-        counters = Counters()
-        trace = JobTrace(job_name=job.name) if self.trace else None
-
-        # Effective combiner honours the conf flag.
-        effective = job
-        if not conf.use_combiner and job.combiner is not None:
-            effective = MapReduceJob(
-                name=job.name,
-                mapper=job.mapper,
-                reducer=job.reducer,
-                combiner=None,
-                partitioner=job.partitioner,
-                batch_mapper=job.batch_mapper,
-                wire=job.wire,
-            )
-
-        pool = None
-        if self.num_workers > 1:
-            effective.ensure_picklable()
-            ctx = get_context("spawn" if os.name == "nt" else "fork")
-            pool = ctx.Pool(self.num_workers)
-        tracer = current_tracer()
+    @contextmanager
+    def _executor(self, job: MapReduceJob) -> Iterator[Callable[..., None]]:
+        """One worker runs the serial executor; more get a pool per job."""
+        if self.num_workers == 1:
+            yield self._run_inline
+            return
+        job.ensure_picklable()
+        ctx = get_context("spawn" if os.name == "nt" else "fork")
+        pool = ctx.Pool(self.num_workers)
         try:
-            with tracer.span(
-                f"job:{job.name}", kind="job", job=job.name, runner="multiprocess",
-                workers=self.num_workers,
-            ) as job_span:
-                if plan is not None:
-                    plan.trigger_barrier("job_start", counters)
-
-                splits = [
-                    list(inputs[start:stop])
-                    for start, stop in chunk_indices(len(inputs), conf.num_map_tasks)
-                ]
-                with tracer.span("map", kind="stage"):
-                    map_states = self._run_phase(
-                        pool,
-                        effective,
-                        kind="map",
-                        payloads=splits,
-                        records_in=[len(s) for s in splits],
-                        policy=policy,
-                        plan=plan,
-                        checkpoint=ckpt,
-                        counters=counters,
-                    )
-                map_outputs = [s.output for s in map_states]
-                for state in map_states:
-                    counters.merge(state.counters)
-                    if trace is not None:
-                        trace.map_tasks.append(self._task_trace(state, "map"))
-                counters.increment("job", "map_input_records", len(inputs))
-                counters.increment(
-                    "job", "map_output_records", sum(len(o) for o in map_outputs)
-                )
-
-                if plan is not None:
-                    plan.trigger_barrier("map_end", counters)
-
-                # The try/finally spans shuffle AND reduce: spill segments
-                # must be removed even when finish() itself fails
-                # (unrepairable bit-rot), not just on reducer errors.
-                spill: SpillingShuffle | None = None
-                try:
-                    with tracer.span("shuffle", kind="stage") as shuffle_span:
-                        if job.wire is not None:
-                            from repro.mapreduce.runner import _through_wire
-
-                            map_outputs = _through_wire(
-                                job, map_outputs, counters, trace
-                            )
-                        if conf.spill_threshold_bytes is not None:
-                            spill = SpillingShuffle(
-                                conf.num_reduce_tasks,
-                                job.partitioner,
-                                spill_threshold_bytes=conf.spill_threshold_bytes,
-                                job_name=job.name,
-                                fault_plan=plan,
-                                counters=counters,
-                            )
-                            for out in map_outputs:
-                                spill.add_task_output(out)
-                            partitions, moved = spill.finish()
-                            shuffle_span.attrs["spill_segments"] = (
-                                spill.spill_segments
-                            )
-                            shuffle_span.attrs["spill_bytes"] = spill.spill_bytes
-                        else:
-                            partitions, moved = shuffle(
-                                map_outputs, conf.num_reduce_tasks, job.partitioner
-                            )
-                        counters.increment("job", "shuffle_records", moved)
-                        if trace is not None and job.wire is None:
-                            trace.shuffle_bytes = sum(
-                                _approx_bytes(p) for p in map_outputs
-                            )
-                        shuffle_span.attrs["records"] = moved
-
-                    with tracer.span("reduce", kind="stage"):
-                        reduce_states = self._run_phase(
-                            pool,
-                            effective,
-                            kind="reduce",
-                            payloads=partitions,
-                            records_in=[
-                                partition_num_records(p) for p in partitions
-                            ],
-                            policy=policy,
-                            plan=plan,
-                            checkpoint=ckpt,
-                            counters=counters,
-                        )
-                    output: list[tuple] = []
-                    reduce_output_records = 0
-                    for state in reduce_states:
-                        counters.merge(state.counters)
-                        if trace is not None:
-                            trace.reduce_tasks.append(
-                                self._task_trace(state, "reduce")
-                            )
-                        reduce_output_records += len(state.output)
-                        if output_sink is not None:
-                            for record in state.output:
-                                output_sink(record)
-                        else:
-                            output.extend(state.output)
-                    counters.increment(
-                        "job", "reduce_output_records", reduce_output_records
-                    )
-                finally:
-                    if spill is not None:
-                        spill.close()
-
-                if plan is not None:
-                    plan.trigger_barrier("job_end", counters)
-
-                if trace is not None:
-                    job_span.attrs["shuffle_bytes"] = trace.shuffle_bytes
-                elif job.wire is not None:
-                    job_span.attrs["shuffle_bytes"] = counters.get("wire", "bytes_wire")
-                tracer.metrics.record_counters(counters)
+            yield partial(self._run_pool, pool)
         finally:
-            if pool is not None:
-                pool.terminate()
-                pool.join()
+            pool.terminate()
+            pool.join()
 
-        if conf.sort_output and output_sink is None:
-            # Shares shuffle.sort_records so the mixed-type fallback
-            # ordering cannot drift from the shuffle's grouping order.
-            output = sort_records(output)
-        return JobResult(output=output, counters=counters, trace=trace)
-
-    # ---- phase execution ---------------------------------------------------
-
-    def _run_phase(
+    def _run_pool(
         self,
         pool,
         job: MapReduceJob,
-        *,
-        kind: str,
-        payloads: Sequence[object],
-        records_in: Sequence[int],
-        policy: RetryPolicy,
-        plan: FaultPlan | None,
-        checkpoint: JobCheckpoint | None,
-        counters: Counters,
-    ) -> list[_TaskState]:
-        tag = "m" if kind == "map" else "r"
-        states = [
-            _TaskState(
-                index=i,
-                task_id=f"{job.name}-{tag}{i:04d}",
-                payload=payload,
-                records_in=records_in[i],
-            )
-            for i, payload in enumerate(payloads)
-        ]
-
-        tracer = current_tracer()
-        phase_span = tracer.current_span()
-        pending: list[_TaskState] = []
-        for state in states:
-            if checkpoint is not None and checkpoint.has(state.task_id):
-                payload = checkpoint.load(state.task_id)
-                state.output = payload["output"]
-                state.counters = payload["counters"]
-                saved: TaskTrace = payload["trace"]
-                state.wall = saved.cpu_seconds
-                state.attempts_launched = saved.attempts
-                state.failures = list(saved.failures)
-                state.speculative_win = saved.speculative_win
-                state.done = True
-                state.recovered = True
-                counters.increment("fault", "tasks_recovered_from_checkpoint")
-                if tracer.enabled:
-                    span = tracer.start(
-                        f"task:{state.task_id}", kind="task", parent=phase_span,
-                        task_id=state.task_id, task_kind=kind, recovered=True,
-                    )
-                    tracer.finish(span)
-                if plan is not None:
-                    plan.note_task_complete()
-            else:
-                pending.append(state)
-
-        if pool is None:
-            self._run_phase_inline(
-                job,
-                kind,
-                pending,
-                policy=policy,
-                plan=plan,
-                counters=counters,
-            )
-        else:
-            self._run_phase_pool(
-                pool,
-                job,
-                kind,
-                pending,
-                policy=policy,
-                plan=plan,
-                counters=counters,
-            )
-
-        for state in pending:
-            if checkpoint is not None:
-                checkpoint.save(
-                    state.task_id,
-                    {
-                        "output": state.output,
-                        "counters": state.counters,
-                        "trace": self._task_trace(state, kind),
-                    },
-                )
-            if plan is not None:
-                plan.note_task_complete()
-        return states
-
-    def _run_phase_inline(
-        self,
-        job: MapReduceJob,
-        kind: str,
-        pending: list[_TaskState],
+        tasks: list[Task],
         *,
         policy: RetryPolicy,
         plan: FaultPlan | None,
         counters: Counters,
-    ) -> None:
-        """Single-worker degradation: serial attempt loop, same semantics."""
-        tracer = current_tracer()
-        for state in pending:
-            check_cancelled(state.task_id)
-            speculative_retry = False
-            with tracer.span(
-                f"task:{state.task_id}", kind="task",
-                task_id=state.task_id, task_kind=kind,
-            ) as task_span:
-                while True:
-                    state.attempts_launched += 1
-                    attempt = state.attempts_launched
-                    started_rel = tracer.now()
-                    obs_payload = None
-                    try:
-                        out, task_counters, checksum, wall, obs_payload = (
-                            _attempt_worker(
-                                (
-                                    job,
-                                    kind,
-                                    state.index,
-                                    attempt,
-                                    state.payload,
-                                    plan,
-                                    state.task_id,
-                                    policy.timeout,
-                                    tracer.enabled,
-                                )
-                            )
-                        )
-                        self._verify_checksum(out, checksum, state.task_id, attempt)
-                    except FaultError as exc:
-                        injected = (
-                            plan.fault_for(job.name, kind, state.index, attempt)
-                            if plan is not None
-                            else None
-                        )
-                        self._attempt_telemetry(
-                            tracer, task_span, obs_payload, started_rel, attempt,
-                            state.task_id, error=str(exc),
-                            fault=injected.kind if injected else None,
-                            speculative=speculative_retry,
-                        )
-                        self._note_failure(state, str(exc), policy, counters, exc)
-                    except Exception as exc:
-                        if policy.max_attempts == 1:
-                            raise
-                        self._attempt_telemetry(
-                            tracer, task_span, obs_payload, started_rel, attempt,
-                            state.task_id, error=f"{type(exc).__name__}: {exc}",
-                            speculative=speculative_retry,
-                        )
-                        self._note_failure(
-                            state, f"{type(exc).__name__}: {exc}", policy,
-                            counters, exc,
-                        )
-                    else:
-                        self._attempt_telemetry(
-                            tracer, task_span, obs_payload, started_rel, attempt,
-                            state.task_id, speculative=speculative_retry,
-                            win=speculative_retry,
-                        )
-                        state.output = out
-                        state.counters = task_counters
-                        state.wall = wall
-                        state.done = True
-                        if speculative_retry:
-                            state.speculative_win = True
-                            counters.increment("fault", "speculative_wins")
-                        break
-                    speculative_retry = policy.speculative_margin > 0
-                    delay = policy.backoff_delay(attempt)
-                    if delay > 0:
-                        time.sleep(delay)
-
-    def _run_phase_pool(
-        self,
-        pool,
-        job: MapReduceJob,
-        kind: str,
-        pending: list[_TaskState],
-        *,
-        policy: RetryPolicy,
-        plan: FaultPlan | None,
-        counters: Counters,
+        finish: Finish,
     ) -> None:
         """Asynchronous attempt scheduling with timeouts and speculation."""
         tracer = current_tracer()
         phase_span = tracer.current_span()
-        by_index = {s.index: s for s in pending}
+        by_index = {task.index: _TaskState(task) for task in tasks}
         active: list[_Attempt] = []
         next_backoff_at: dict[int, float] = {}
         completed_durations: list[float] = []
         task_spans: dict[int, object] = {}
         if tracer.enabled:
-            for state in pending:
-                task_spans[state.index] = tracer.start(
-                    f"task:{state.task_id}", kind="task", parent=phase_span,
-                    task_id=state.task_id, task_kind=kind,
+            for task in tasks:
+                task_spans[task.index] = tracer.start(
+                    f"task:{task.task_id}", kind="task", parent=phase_span,
+                    task_id=task.task_id, task_kind=task.kind,
                 )
 
         def submit(state: _TaskState, *, speculative: bool) -> None:
             state.attempts_launched += 1
-            attempt_no = state.attempts_launched
-            args = (
-                job,
-                kind,
-                state.index,
-                attempt_no,
-                state.payload,
-                plan,
-                state.task_id,
-                None,
-                tracer.enabled,
-            )
+            args = (job.name, state.task, state.attempts_launched, plan, tracer.enabled)
             active.append(
                 _Attempt(
-                    index=state.index,
-                    number=attempt_no,
+                    index=state.task.index,
+                    number=state.attempts_launched,
                     result=pool.apply_async(_attempt_worker, (args,)),
                     started=time.monotonic(),
                     started_rel=tracer.now(),
@@ -615,16 +204,73 @@ class MultiprocessRunner:
                 )
             )
 
-        for state in pending:
+        def telemetry(
+            att: _Attempt,
+            obs_payload: dict | None,
+            *,
+            error: str | None = None,
+            fault: str | None = None,
+            win: bool = False,
+        ) -> None:
+            """Land one attempt's spans in the driver tracer.
+
+            Successful attempts ship their own worker-recorded spans
+            (``obs_payload``), merged under the driver-side task span with
+            clocks rebased; crashed/abandoned attempts produced nothing, so
+            a span is synthesised from the driver-observed window and the
+            injected fault's kind (re-read from the deterministic plan) is
+            tagged on.  Either way, failed and retried attempts end up as
+            sibling ``attempt`` spans under one ``task`` span.
+            """
+            if not tracer.enabled:
+                return
+            task_span = task_spans[att.index]
+            if obs_payload is not None:
+                merged = tracer.merge_payload(obs_payload, parent=task_span)
+                spans = [s for s in merged if s.parent_id == task_span.span_id]
+                spans = spans or merged
+            else:
+                span = tracer.start(
+                    f"attempt:{att.number}", kind="attempt", parent=task_span,
+                    start_s=att.started_rel, attempt=att.number,
+                    task_id=by_index[att.index].task.task_id,
+                )
+                tracer.finish(span)
+                spans = [span]
+            for span in spans:
+                if att.speculative:
+                    span.attrs["speculative"] = True
+                if win:
+                    span.attrs["speculative_win"] = True
+                if fault is not None:
+                    span.attrs.setdefault("fault", fault)
+                if error is not None:
+                    span.status = "error"
+                    span.attrs["error"] = error
+
+        def live_attempts(index: int) -> int:
+            return sum(1 for a in active if a.index == index and not a.abandoned)
+
+        def fail(state: _TaskState, reason: str, cause: Exception | None) -> None:
+            launched = state.attempts_launched
+            if _record_failure(
+                counters, state.failures, reason, state.task.task_id, launched,
+                policy, cause, live=live_attempts(state.task.index) > 0,
+            ):
+                next_backoff_at[state.task.index] = (
+                    time.monotonic() + policy.backoff_delay(launched)
+                )
+
+        for state in by_index.values():
             submit(state, speculative=False)
 
-        remaining = len(pending)
-        while remaining > 0:
-            check_cancelled(f"{kind} phase poll")
+        while not all(state.done for state in by_index.values()):
+            check_cancelled(f"{tasks[0].kind} phase poll")
             progressed = False
             now = time.monotonic()
             for att in list(active):
                 state = by_index[att.index]
+                task = state.task
                 if att.result.ready():
                     active.remove(att)
                     progressed = True
@@ -635,63 +281,36 @@ class MultiprocessRunner:
                         out, task_counters, checksum, wall, obs_payload = (
                             att.result.get()
                         )
-                        self._verify_checksum(
-                            out, checksum, state.task_id, att.number
+                        _verify_checksum(out, checksum, task.task_id, att.number)
+                    except Exception as exc:
+                        injected = isinstance(exc, FaultError)
+                        if not injected and policy.max_attempts == 1:
+                            raise
+                        reason = (
+                            str(exc) if injected else f"{type(exc).__name__}: {exc}"
                         )
-                    except FaultError as exc:
-                        injected = (
-                            plan.fault_for(
-                                job.name, kind, att.index, att.number
-                            )
+                        fault = (
+                            plan.fault_for(job.name, task.kind, task.index, att.number)
                             if plan is not None
                             else None
                         )
-                        self._attempt_telemetry(
-                            tracer, task_spans.get(att.index), obs_payload,
-                            att.started_rel, att.number, state.task_id,
-                            error=str(exc),
-                            fault=injected.kind if injected else None,
-                            speculative=att.speculative,
+                        telemetry(
+                            att, obs_payload, error=reason,
+                            fault=fault.kind if fault else None,
                         )
-                        self._handle_pool_failure(
-                            state, str(exc), policy, counters, exc, active,
-                            next_backoff_at,
-                        )
-                    except Exception as exc:
-                        if policy.max_attempts == 1:
-                            raise
-                        self._attempt_telemetry(
-                            tracer, task_spans.get(att.index), obs_payload,
-                            att.started_rel, att.number, state.task_id,
-                            error=f"{type(exc).__name__}: {exc}",
-                            speculative=att.speculative,
-                        )
-                        self._handle_pool_failure(
-                            state,
-                            f"{type(exc).__name__}: {exc}",
-                            policy,
-                            counters,
-                            exc,
-                            active,
-                            next_backoff_at,
-                        )
+                        fail(state, reason, exc)
                     else:
-                        self._attempt_telemetry(
-                            tracer, task_spans.get(att.index), obs_payload,
-                            att.started_rel, att.number, state.task_id,
-                            speculative=att.speculative, win=att.speculative,
-                        )
-                        if tracer.enabled and att.index in task_spans:
-                            tracer.finish(task_spans[att.index])
-                        state.output = out
-                        state.counters = task_counters
-                        state.wall = wall
+                        telemetry(att, obs_payload, win=att.speculative)
                         state.done = True
-                        remaining -= 1
                         completed_durations.append(wall)
                         if att.speculative:
-                            state.speculative_win = True
                             counters.increment("fault", "speculative_wins")
+                        finish(
+                            task, out, task_counters, wall, state.attempts_launched,
+                            state.failures, att.speculative,
+                        )
+                        if att.index in task_spans:
+                            tracer.finish(task_spans[att.index])
                     continue
                 if state.done or att.abandoned:
                     continue
@@ -701,35 +320,17 @@ class MultiprocessRunner:
                     # arrival (the analogue of killing the attempt).
                     att.abandoned = True
                     progressed = True
-                    self._attempt_telemetry(
-                        tracer, task_spans.get(att.index), None,
-                        att.started_rel, att.number, state.task_id,
-                        error=f"attempt abandoned after task_timeout="
-                              f"{policy.timeout}s",
-                        speculative=att.speculative,
-                    )
-                    self._handle_pool_failure(
-                        state,
-                        f"attempt abandoned after task_timeout={policy.timeout}s",
-                        policy,
-                        counters,
-                        None,
-                        active,
-                        next_backoff_at,
-                    )
+                    reason = f"attempt abandoned after task_timeout={policy.timeout}s"
+                    telemetry(att, None, error=reason)
+                    fail(state, reason, None)
                     continue
                 if (
                     policy.speculative_margin > 0
                     and completed_durations
                     and state.attempts_launched < policy.max_attempts
-                    and sum(
-                        1
-                        for a in active
-                        if a.index == att.index and not a.abandoned
-                    )
-                    < 2
+                    and live_attempts(att.index) < 2
                     and runtime
-                    > policy.speculative_margin * _median(completed_durations)
+                    > policy.speculative_margin * median(completed_durations)
                 ):
                     submit(state, speculative=True)
                     counters.increment("fault", "speculative_attempts")
@@ -744,114 +345,3 @@ class MultiprocessRunner:
 
             if not progressed:
                 time.sleep(_POLL_INTERVAL)
-
-    @staticmethod
-    def _attempt_telemetry(
-        tracer,
-        task_span,
-        obs_payload: dict | None,
-        started_rel: float,
-        attempt: int,
-        task_id: str,
-        *,
-        error: str | None = None,
-        fault: str | None = None,
-        speculative: bool = False,
-        win: bool = False,
-    ) -> None:
-        """Land one attempt's spans in the driver tracer.
-
-        Successful attempts ship their own worker-recorded spans
-        (``obs_payload``) which are merged under the driver-side task span
-        with clocks rebased; crashed/abandoned attempts produced nothing,
-        so a span is synthesised from the driver-observed window and the
-        injected fault's kind (re-read from the deterministic plan) is
-        tagged on.  Either way, failed and retried attempts end up as
-        sibling ``attempt`` spans under one ``task`` span.
-        """
-        if not tracer.enabled:
-            return
-        if obs_payload is not None:
-            merged = tracer.merge_payload(obs_payload, parent=task_span)
-            parent_id = task_span.span_id if task_span is not None else None
-            spans = [s for s in merged if s.parent_id == parent_id] or merged
-        else:
-            span = tracer.start(
-                f"attempt:{attempt}", kind="attempt", parent=task_span,
-                start_s=started_rel, attempt=attempt, task_id=task_id,
-            )
-            tracer.finish(span)
-            spans = [span]
-        for span in spans:
-            if speculative:
-                span.attrs["speculative"] = True
-            if win:
-                span.attrs["speculative_win"] = True
-            if fault is not None:
-                span.attrs.setdefault("fault", fault)
-            if error is not None:
-                span.status = "error"
-                span.attrs["error"] = error
-
-    @staticmethod
-    def _note_failure(
-        state: _TaskState,
-        reason: str,
-        policy: RetryPolicy,
-        counters: Counters,
-        cause: Exception | None,
-    ) -> None:
-        """Inline-path failure accounting (mirrors the serial runner)."""
-        state.failures.append(reason)
-        counters.increment("fault", "attempts_failed")
-        if state.attempts_launched >= policy.max_attempts:
-            raise TaskFailedError(state.task_id, state.failures) from cause
-        counters.increment("fault", "task_retries")
-
-    def _handle_pool_failure(
-        self,
-        state: _TaskState,
-        reason: str,
-        policy: RetryPolicy,
-        counters: Counters,
-        cause: Exception | None,
-        active: list[_Attempt],
-        next_backoff_at: dict[int, float],
-    ) -> None:
-        state.failures.append(reason)
-        counters.increment("fault", "attempts_failed")
-        has_live_attempt = any(
-            a.index == state.index and not a.abandoned for a in active
-        )
-        if state.attempts_launched >= policy.max_attempts and not has_live_attempt:
-            raise TaskFailedError(state.task_id, state.failures) from cause
-        if state.attempts_launched < policy.max_attempts and not has_live_attempt:
-            counters.increment("fault", "task_retries")
-            delay = policy.backoff_delay(state.attempts_launched)
-            next_backoff_at[state.index] = time.monotonic() + delay
-
-    @staticmethod
-    def _verify_checksum(out, checksum, task_id: str, attempt: int) -> None:
-        if checksum is None:
-            return
-        if records_checksum(out) != checksum:
-            raise FaultError(
-                "corrupted shuffle partition (checksum mismatch)",
-                task_id=task_id,
-                attempt=attempt,
-            )
-
-    @staticmethod
-    def _task_trace(state: _TaskState, kind: str) -> TaskTrace:
-        return TaskTrace(
-            task_id=state.task_id,
-            kind=kind,
-            records_in=state.records_in,
-            records_out=len(state.output),
-            bytes_out=_approx_bytes(state.output),
-            cpu_seconds=state.wall,
-            attempts=state.attempts_launched,
-            failures=list(state.failures),
-            speculative_win=state.speculative_win,
-            recovered=state.recovered,
-        )

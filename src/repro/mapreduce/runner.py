@@ -1,9 +1,18 @@
-"""Serial job runner: deterministic reference execution with tracing.
+"""The job driver shared by every runner, and its serial executor.
 
-The serial runner executes the full map -> combine -> shuffle -> reduce
-pipeline in-process, measuring per-task CPU time and record counts into a
-:class:`~repro.mapreduce.types.JobTrace`.  Those traces are the input to
-the discrete-event cluster simulator (the real work is measured; only the
+:meth:`SerialRunner.run` is the only job driver.  It splits the input
+into map tasks, routes map output through the job's wire codec and the
+(optionally spilling) shuffle, and runs one reduce task per partition,
+with barrier triggers, counters, stage spans, checkpoint recovery,
+``output_sink`` streaming and ``sort_output``.  Each phase's pending
+tasks go to an *executor*: the serial runner's attempt loop runs them one
+after another in-process; :class:`~repro.mapreduce.local.MultiprocessRunner`
+with more than one worker swaps in its asynchronous pool scheduler.  Both
+executors run the same module-level task bodies (:func:`_map_task`,
+:func:`_reduce_task`), so the two runners count, trace and output alike.
+The per-task CPU time and record counts land in a
+:class:`~repro.mapreduce.types.JobTrace` — the input to the
+discrete-event cluster simulator (the real work is measured; only the
 distributed wall-clock is modeled — see DESIGN.md substitution #1).
 
 Execution is fault tolerant: each task runs inside an attempt loop driven
@@ -29,8 +38,10 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from statistics import median
 
 from repro.errors import FaultError, MapReduceError, TaskFailedError
 from repro.mapreduce.cancel import check_cancelled
@@ -47,6 +58,7 @@ from repro.mapreduce.shuffle import (
     approx_records_bytes,
     partition_num_records,
     shuffle,
+    sort_grouped_keys,
     sort_records,
 )
 from repro.mapreduce.types import JobConf, JobTrace, TaskTrace
@@ -63,9 +75,28 @@ class JobResult:
     trace: JobTrace | None = None
 
 
-# Shared with the spill-threshold estimate of the external shuffle; the
-# multiprocess runner imports it from here.
-_approx_bytes = approx_records_bytes
+@dataclass(frozen=True)
+class Task:
+    """One map or reduce task, as the driver hands it to an executor.
+
+    ``body(*args)`` runs one clean attempt and returns ``(records,
+    counters)``.  It is a module-level task body, so the pool executor
+    can ship the whole task to a worker process.
+    """
+
+    kind: str
+    index: int
+    task_id: str
+    body: Callable[..., tuple[list[tuple], Counters]]
+    args: tuple
+    records_in: int
+    bytes_in: int = 0
+
+
+#: How an executor reports a completed task to the driver:
+#: ``finish(task, records, counters, seconds, attempts, failures,
+#: speculative_win)``.
+Finish = Callable[[Task, list, Counters, float, int, list, bool], None]
 
 
 def _through_wire(
@@ -84,7 +115,7 @@ def _through_wire(
     byte counters record the savings.
     """
     frames = [job.wire.encode_records(out) for out in map_outputs]
-    raw = sum(_approx_bytes(out) for out in map_outputs)
+    raw = sum(approx_records_bytes(out) for out in map_outputs)
     on_wire = sum(frame.nbytes for frame in frames)
     counters.increment("wire", "frames", len(frames))
     counters.increment("wire", "bytes_raw", raw)
@@ -96,12 +127,119 @@ def _through_wire(
     return [job.wire.decode_records(frame) for frame in frames]
 
 
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
+# ---- task bodies (module-level: both executors run them) -------------------
+
+
+def _map_task(
+    job: MapReduceJob, split: Sequence[tuple], use_combiner: bool
+) -> tuple[list[tuple], Counters]:
+    """One clean map attempt over a split (fresh counters per attempt)."""
+    task_counters = Counters()
+    out: list[tuple] = []
+    if job.batch_mapper is not None:
+        emitted = job.run_batch_mapper(split, task_counters)
+        if emitted is not None:
+            out.extend(_validated(emitted, job.name, "batch_mapper"))
+    else:
+        for key, value in split:
+            emitted = job.run_mapper(key, value, task_counters)
+            if emitted is not None:
+                out.extend(_validated(emitted, job.name, "mapper"))
+    if use_combiner and job.combiner is not None:
+        out = _combine(job, out)
+    return out, task_counters
+
+
+def _reduce_task(
+    job: MapReduceJob, groups: Sequence[tuple[object, list]]
+) -> tuple[list[tuple], Counters]:
+    """One clean reduce attempt over a partition's grouped keys."""
+    task_counters = Counters()
+    out: list[tuple] = []
+    for key, values in groups:
+        emitted = job.run_reducer(key, values, task_counters)
+        if emitted is not None:
+            out.extend(_validated(emitted, job.name, "reducer"))
+    return out, task_counters
+
+
+def _validated(emitted, job_name: str, stage: str):
+    for pair in emitted:
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            raise MapReduceError(
+                f"{stage} of job {job_name!r} emitted {pair!r}; "
+                "expected (key, value) tuples"
+            )
+        yield pair
+
+
+def _combine(job: MapReduceJob, pairs: list[tuple]) -> list[tuple]:
+    grouped: dict[object, list] = defaultdict(list)
+    for key, value in pairs:
+        grouped[key].append(value)
+    out: list[tuple] = []
+    for key in sort_grouped_keys(grouped.keys()):
+        out.extend(job.run_combiner(key, grouped[key]))
+    return out
+
+
+def _attempt_body(
+    task: Task, attempt: int, fault, plan: FaultPlan | None
+) -> tuple[list[tuple], Counters, int | None, float]:
+    """One attempt of ``task`` under its injected crash or corruption.
+
+    Returns ``(records, counters, checksum, seconds)``.  With a fault plan
+    the records' CRC32 is taken at production, before an injected
+    corruption strikes them in transit, and :func:`_verify_checksum` is
+    the receiving end (the IFile-checksum model).  Hangs and slow nodes
+    are left to the executors: only they know how to wait.
+    """
+    if fault is not None and fault.kind == "crash":
+        FaultPlan.raise_crash(fault, task.task_id, attempt)
+    t0 = time.perf_counter()
+    out, task_counters = task.body(*task.args)
+    seconds = time.perf_counter() - t0
+    checksum = records_checksum(out) if plan is not None else None
+    if fault is not None and fault.kind == "corrupt":
+        out = FaultPlan.corrupt_records(out, task.task_id)
+    return out, task_counters, checksum, seconds
+
+
+def _verify_checksum(out, checksum: int | None, task_id: str, attempt: int) -> None:
+    if checksum is not None and records_checksum(out) != checksum:
+        raise FaultError(
+            "corrupted shuffle partition (checksum mismatch)",
+            task_id=task_id,
+            attempt=attempt,
+        )
+
+
+def _record_failure(
+    counters: Counters,
+    failures: list[str],
+    reason: str,
+    task_id: str,
+    attempts: int,
+    policy: RetryPolicy,
+    cause: Exception | None,
+    *,
+    live: bool = False,
+) -> bool:
+    """Account one failed attempt and return whether to launch a retry.
+
+    Raises :class:`~repro.errors.TaskFailedError` once ``attempts``
+    reaches ``policy.max_attempts`` — unless another attempt of the task
+    is still ``live`` (a racing speculative sibling on the pool), which
+    may yet win.
+    """
+    failures.append(reason)
+    counters.increment("fault", "attempts_failed")
+    if live:
+        return False
+    if attempts >= policy.max_attempts:
+        raise TaskFailedError(task_id, failures) from cause
+    counters.increment("fault", "task_retries")
+    return True
 
 
 class SerialRunner:
@@ -115,6 +253,8 @@ class SerialRunner:
     :class:`~repro.cluster.pipeline.MrMCMinH`) still get fault-tolerant
     execution; per-call keyword arguments to :meth:`run` override them.
     """
+
+    runner_name = "serial"
 
     def __init__(
         self,
@@ -157,39 +297,40 @@ class SerialRunner:
         trace = JobTrace(job_name=job.name) if self.trace else None
         tracer = current_tracer()
 
-        with tracer.span(
-            f"job:{job.name}", kind="job", job=job.name, runner="serial"
+        def run_phase(execute, tasks, deliver) -> list[TaskTrace]:
+            return self._run_phase(
+                execute, job, tasks, deliver,
+                policy=policy, plan=plan, checkpoint=ckpt, counters=counters,
+            )
+
+        with self._executor(job) as execute, tracer.span(
+            f"job:{job.name}", kind="job", job=job.name, runner=self.runner_name
         ) as job_span:
             if plan is not None:
                 plan.trigger_barrier("job_start", counters)
 
             # ---- map phase, split into conf.num_map_tasks tasks ---------
-            map_outputs: list[list[tuple]] = []
-            map_durations: list[float] = []
-            with tracer.span("map", kind="stage"):
-                for t, (start, stop) in enumerate(
-                    chunk_indices(len(inputs), conf.num_map_tasks)
-                ):
-                    split = inputs[start:stop]
-                    task_trace, out = self._execute_task(
-                        job=job,
+            map_tasks = []
+            for t, (start, stop) in enumerate(
+                chunk_indices(len(inputs), conf.num_map_tasks)
+            ):
+                split = inputs[start:stop]
+                map_tasks.append(
+                    Task(
                         kind="map",
                         index=t,
                         task_id=f"{job.name}-m{t:04d}",
-                        body=lambda split=split: self._map_split(job, split, conf),
+                        body=_map_task,
+                        args=(job, split, conf.use_combiner),
                         records_in=len(split),
-                        bytes_in=_approx_bytes(split) if self.trace else 0,
-                        policy=policy,
-                        plan=plan,
-                        checkpoint=ckpt,
-                        counters=counters,
-                        completed_durations=map_durations,
+                        bytes_in=approx_records_bytes(split) if self.trace else 0,
                     )
-                    counters.increment("job", "map_input_records", len(split))
-                    counters.increment("job", "map_output_records", len(out))
-                    if trace is not None:
-                        trace.map_tasks.append(task_trace)
-                    map_outputs.append(out)
+                )
+            map_outputs: list[list[tuple]] = []
+            with tracer.span("map", kind="stage"):
+                map_traces = run_phase(execute, map_tasks, map_outputs.append)
+            if trace is not None:
+                trace.map_tasks.extend(map_traces)
 
             if plan is not None:
                 plan.trigger_barrier("map_end", counters)
@@ -200,7 +341,6 @@ class SerialRunner:
             # bit-rot), not just on reducer errors.
             spill: SpillingShuffle | None = None
             output: list[tuple] = []
-            reduce_durations: list[float] = []
             try:
                 with tracer.span("shuffle", kind="stage") as shuffle_span:
                     if job.wire is not None:
@@ -228,37 +368,34 @@ class SerialRunner:
                     counters.increment("job", "shuffle_records", moved)
                     if trace is not None and job.wire is None:
                         trace.shuffle_bytes = sum(
-                            _approx_bytes(p) for p in map_outputs
+                            approx_records_bytes(p) for p in map_outputs
                         )
                     shuffle_span.attrs["records"] = moved
 
                 # ---- reduce phase ---------------------------------------
+                def sink(out: list[tuple]) -> None:
+                    for record in out:
+                        output_sink(record)
+
                 with tracer.span("reduce", kind="stage"):
-                    for r, groups in enumerate(partitions):
-                        records_in = partition_num_records(groups)
-                        task_trace, out = self._execute_task(
-                            job=job,
+                    reduce_tasks = [
+                        Task(
                             kind="reduce",
                             index=r,
                             task_id=f"{job.name}-r{r:04d}",
-                            body=lambda groups=groups: self._reduce_groups(job, groups),
-                            records_in=records_in,
-                            bytes_in=0,
-                            policy=policy,
-                            plan=plan,
-                            checkpoint=ckpt,
-                            counters=counters,
-                            completed_durations=reduce_durations,
+                            body=_reduce_task,
+                            args=(job, groups),
+                            records_in=partition_num_records(groups),
                         )
-                        counters.increment("job", "reduce_input_records", records_in)
-                        counters.increment("job", "reduce_output_records", len(out))
-                        if trace is not None:
-                            trace.reduce_tasks.append(task_trace)
-                        if output_sink is not None:
-                            for record in out:
-                                output_sink(record)
-                        else:
-                            output.extend(out)
+                        for r, groups in enumerate(partitions)
+                    ]
+                    reduce_traces = run_phase(
+                        execute,
+                        reduce_tasks,
+                        output.extend if output_sink is None else sink,
+                    )
+                if trace is not None:
+                    trace.reduce_tasks.extend(reduce_traces)
             finally:
                 if spill is not None:
                     spill.close()
@@ -304,94 +441,139 @@ class SerialRunner:
         assert result is not None
         return result, traces
 
-    # ---- fault-tolerant task execution ------------------------------------
+    # ---- one phase: checkpoint recovery, executor, in-order delivery ------
 
-    def _execute_task(
+    def _run_phase(
         self,
-        *,
+        execute: Callable[..., None],
         job: MapReduceJob,
-        kind: str,
-        index: int,
-        task_id: str,
-        body: Callable[[], tuple[list[tuple], Counters]],
-        records_in: int,
-        bytes_in: int,
+        tasks: list[Task],
+        deliver: Callable[[list[tuple]], None],
+        *,
         policy: RetryPolicy,
         plan: FaultPlan | None,
         checkpoint: JobCheckpoint | None,
         counters: Counters,
-        completed_durations: list[float],
-    ) -> tuple[TaskTrace, list[tuple]]:
-        """Run one task to completion: checkpoint recovery, attempt loop,
-        counter merging and trace assembly."""
-        check_cancelled(task_id)  # cooperative deadline/cancel point
-        tracer = current_tracer()
-        with tracer.span(
-            f"task:{task_id}", kind="task", task_id=task_id, task_kind=kind
-        ) as task_span:
-            if checkpoint is not None and checkpoint.has(task_id):
-                payload = checkpoint.load(task_id)
-                out = payload["output"]
-                counters.merge(payload["counters"])
-                counters.increment("fault", "tasks_recovered_from_checkpoint")
-                task_trace: TaskTrace = payload["trace"]
-                task_trace.recovered = True
-                task_span.attrs["recovered"] = True
-                if plan is not None:
-                    plan.note_task_complete()
-                return task_trace, out
+    ) -> list[TaskTrace]:
+        """Run one phase's tasks and return their traces in task order.
 
-            out, task_counters, elapsed, attempts, failures, spec_win = (
-                self._run_attempts(
-                    job=job,
-                    kind=kind,
-                    index=index,
-                    task_id=task_id,
-                    body=body,
-                    policy=policy,
-                    plan=plan,
-                    counters=counters,
-                    completed_durations=completed_durations,
+        Checkpointed tasks are recovered here; the rest go to ``execute``,
+        which calls ``finish`` once per completed task.  Each task's output
+        reaches ``deliver`` in task order as soon as every earlier task has
+        completed, so map outputs, reduce output and a streaming
+        ``output_sink`` see the same order whichever executor ran the
+        phase.
+        """
+        tracer = current_tracer()
+        traces: list[TaskTrace] = []
+        ready: dict[int, tuple[TaskTrace, list[tuple]]] = {}
+
+        def complete(task: Task, task_trace: TaskTrace, out: list[tuple]) -> None:
+            ready[task.index] = (task_trace, out)
+            while len(traces) in ready:
+                task_trace, out = ready.pop(len(traces))
+                counters.increment(
+                    "job", f"{task.kind}_input_records", task_trace.records_in
                 )
-            )
-            completed_durations.append(elapsed)
+                counters.increment("job", f"{task.kind}_output_records", len(out))
+                traces.append(task_trace)
+                deliver(out)
+
+        def finish(task, out, task_counters, seconds, attempts, failures, spec_win):
             counters.merge(task_counters)
-            tracer.metrics.histogram("mr.task_seconds").observe(elapsed)
+            tracer.metrics.histogram("mr.task_seconds").observe(seconds)
             task_trace = TaskTrace(
-                task_id=task_id,
-                kind=kind,
-                records_in=records_in,
+                task_id=task.task_id,
+                kind=task.kind,
+                records_in=task.records_in,
                 records_out=len(out),
-                bytes_in=bytes_in,
-                bytes_out=_approx_bytes(out) if self.trace else 0,
-                cpu_seconds=elapsed,
+                bytes_in=task.bytes_in,
+                bytes_out=approx_records_bytes(out) if self.trace else 0,
+                cpu_seconds=seconds,
                 attempts=attempts,
                 failures=failures,
                 speculative_win=spec_win,
             )
             if checkpoint is not None:
                 checkpoint.save(
-                    task_id,
+                    task.task_id,
                     {"output": out, "counters": task_counters, "trace": task_trace},
                 )
             if plan is not None:
                 plan.note_task_complete()
-            return task_trace, out
+            complete(task, task_trace, out)
+
+        pending: list[Task] = []
+        for task in tasks:
+            if checkpoint is None or not checkpoint.has(task.task_id):
+                pending.append(task)
+                continue
+            with tracer.span(
+                f"task:{task.task_id}", kind="task", task_id=task.task_id,
+                task_kind=task.kind, recovered=True,
+            ):
+                payload = checkpoint.load(task.task_id)
+                counters.merge(payload["counters"])
+                counters.increment("fault", "tasks_recovered_from_checkpoint")
+                task_trace: TaskTrace = payload["trace"]
+                task_trace.recovered = True
+                if plan is not None:
+                    plan.note_task_complete()
+            complete(task, task_trace, payload["output"])
+        if pending:
+            execute(
+                job, pending, policy=policy, plan=plan, counters=counters,
+                finish=finish,
+            )
+        return traces
+
+    # ---- the serial executor: fault-tolerant attempt loop -----------------
+
+    @contextmanager
+    def _executor(self, job: MapReduceJob) -> Iterator[Callable[..., None]]:
+        """Yield the executor that runs each phase's pending tasks.
+
+        The serial runner's is :meth:`_run_inline`; the multiprocess runner
+        swaps in its pool scheduler for the length of the job.
+        """
+        yield self._run_inline
+
+    def _run_inline(
+        self,
+        job: MapReduceJob,
+        tasks: list[Task],
+        *,
+        policy: RetryPolicy,
+        plan: FaultPlan | None,
+        counters: Counters,
+        finish: Finish,
+    ) -> None:
+        """Run each task's attempt loop in turn, in-process."""
+        tracer = current_tracer()
+        durations: list[float] = []  # the straggler threshold's median
+        for task in tasks:
+            check_cancelled(task.task_id)  # cooperative deadline/cancel point
+            with tracer.span(
+                f"task:{task.task_id}", kind="task", task_id=task.task_id,
+                task_kind=task.kind,
+            ):
+                self._run_attempts(
+                    job, task, policy=policy, plan=plan, counters=counters,
+                    completed_durations=durations, finish=finish,
+                )
 
     def _run_attempts(
         self,
-        *,
         job: MapReduceJob,
-        kind: str,
-        index: int,
-        task_id: str,
-        body: Callable[[], tuple[list[tuple], Counters]],
+        task: Task,
+        *,
         policy: RetryPolicy,
         plan: FaultPlan | None,
         counters: Counters,
         completed_durations: list[float],
-    ) -> tuple[list[tuple], Counters, float, int, list[str], bool]:
-        """The per-task attempt loop.
+        finish: Finish,
+    ) -> None:
+        """The per-task attempt loop; the winning attempt goes to ``finish``.
 
         Failed attempts are recorded (reason strings) and retried with
         exponential backoff up to ``policy.max_attempts``; the winning
@@ -400,14 +582,18 @@ class SerialRunner:
         side effects, like Hadoop's committed task outputs).
         """
         tracer = current_tracer()
+        task_id = task.task_id
         failures: list[str] = []
         speculative_attempt = False  # next attempt is a speculative backup
-        spec_win = False
         attempt = 0
         while True:
             attempt += 1
             check_cancelled(task_id)
-            fault = plan.fault_for(job.name, kind, index, attempt) if plan else None
+            fault = (
+                plan.fault_for(job.name, task.kind, task.index, attempt)
+                if plan
+                else None
+            )
             with tracer.span(
                 f"attempt:{attempt}", kind="attempt", attempt=attempt, task_id=task_id
             ) as attempt_span:
@@ -416,12 +602,6 @@ class SerialRunner:
                 if speculative_attempt:
                     attempt_span.attrs["speculative"] = True
                 try:
-                    if fault is not None and fault.kind == "crash":
-                        raise FaultError(
-                            fault.reason or "injected crash",
-                            task_id=task_id,
-                            attempt=attempt,
-                        )
                     if fault is not None and fault.kind == "hang":
                         self._handle_hang(
                             fault, policy, task_id, attempt, completed_durations
@@ -431,67 +611,35 @@ class SerialRunner:
                         # the latency and still completes.
                         counters.increment("fault", "slow_node_delays")
                         time.sleep(fault.delay)
-                    t0 = time.perf_counter()
-                    out, task_counters = body()
-                    elapsed = time.perf_counter() - t0
-                    if fault is not None and fault.kind == "corrupt":
-                        # Checksum at production; corruption strikes in transit;
-                        # the runner verifies on receipt (IFile-checksum model).
-                        produced_crc = records_checksum(out)
-                        delivered = FaultPlan.corrupt_records(out, task_id)
-                        if records_checksum(delivered) != produced_crc:
-                            raise FaultError(
-                                "corrupted shuffle partition (checksum mismatch)",
-                                task_id=task_id,
-                                attempt=attempt,
-                            )
-                        out = delivered  # pragma: no cover - corruption always detected
+                    out, task_counters, checksum, elapsed = _attempt_body(
+                        task, attempt, fault, plan
+                    )
+                    _verify_checksum(out, checksum, task_id, attempt)
+                except Exception as exc:
+                    injected = isinstance(exc, FaultError)
+                    if not injected and policy.max_attempts == 1:
+                        raise  # no retries configured: propagate user errors as-is
+                    speculative_attempt = injected and getattr(
+                        exc, "speculative", False
+                    )
+                    reason = str(exc) if injected else f"{type(exc).__name__}: {exc}"
+                    attempt_span.status = "error"
+                    attempt_span.attrs["error"] = reason
+                    _record_failure(
+                        counters, failures, reason, task_id, attempt, policy, exc
+                    )
+                else:
                     if speculative_attempt:
-                        spec_win = True
                         counters.increment("fault", "speculative_wins")
                         attempt_span.attrs["speculative_win"] = True
-                    return out, task_counters, elapsed, attempt, failures, spec_win
-                except FaultError as exc:
-                    speculative_attempt = getattr(exc, "speculative", False)
-                    attempt_span.status = "error"
-                    attempt_span.attrs["error"] = str(exc)
-                    self._record_failure(
-                        counters, failures, str(exc), task_id, attempt, policy, exc
-                    )
-                except Exception as exc:
-                    if policy.max_attempts == 1:
-                        raise  # no retries configured: propagate user errors as-is
-                    speculative_attempt = False
-                    attempt_span.status = "error"
-                    attempt_span.attrs["error"] = f"{type(exc).__name__}: {exc}"
-                    self._record_failure(
-                        counters,
-                        failures,
-                        f"{type(exc).__name__}: {exc}",
-                        task_id,
-                        attempt,
-                        policy,
-                        exc,
-                    )
+                    break
             delay = policy.backoff_delay(attempt)
             if delay > 0:
                 time.sleep(delay)
-
-    @staticmethod
-    def _record_failure(
-        counters: Counters,
-        failures: list[str],
-        reason: str,
-        task_id: str,
-        attempt: int,
-        policy: RetryPolicy,
-        cause: Exception,
-    ) -> None:
-        failures.append(reason)
-        counters.increment("fault", "attempts_failed")
-        if attempt >= policy.max_attempts:
-            raise TaskFailedError(task_id, failures) from cause
-        counters.increment("fault", "task_retries")
+        completed_durations.append(elapsed)
+        finish(
+            task, out, task_counters, elapsed, attempt, failures, speculative_attempt
+        )
 
     @staticmethod
     def _handle_hang(
@@ -506,15 +654,15 @@ class SerialRunner:
         A hang whose delay crosses the task deadline (``task_timeout``) is
         abandoned; one that crosses the speculation threshold
         (``speculative_margin x median completed duration``) is abandoned in
-        favour of a backup attempt — the serial backend runs the backup
+        favour of a backup attempt — the serial executor runs the backup
         *after* abandoning the original (it has one thread), so "backup
-        wins" is recorded on the retry.  The multiprocess runner races real
+        wins" is recorded on the retry.  The pool executor races real
         concurrent attempts.  Hangs below both thresholds simply sleep: a
         slow task, not a failure.
         """
         spec_deadline = None
         if policy.speculative_margin > 0 and completed_durations:
-            spec_deadline = policy.speculative_margin * _median(completed_durations)
+            spec_deadline = policy.speculative_margin * median(completed_durations)
         if policy.timeout is not None and fault.delay >= policy.timeout:
             exc = FaultError(
                 f"attempt abandoned at task_timeout={policy.timeout}s "
@@ -528,65 +676,10 @@ class SerialRunner:
             exc = FaultError(
                 f"straggler: hang of {fault.delay}s exceeds "
                 f"{policy.speculative_margin}x median "
-                f"({_median(completed_durations):.6f}s); speculative backup launched",
+                f"({median(completed_durations):.6f}s); speculative backup launched",
                 task_id=task_id,
                 attempt=attempt,
             )
             exc.speculative = True
             raise exc
         time.sleep(fault.delay)
-
-    # ---- task bodies ------------------------------------------------------
-
-    def _map_split(
-        self, job: MapReduceJob, split: Sequence[tuple], conf: JobConf
-    ) -> tuple[list[tuple], Counters]:
-        """One clean map attempt over a split (fresh counters per attempt)."""
-        task_counters = Counters()
-        out: list[tuple] = []
-        if job.batch_mapper is not None:
-            emitted = job.run_batch_mapper(split, task_counters)
-            if emitted is not None:
-                out.extend(self._validated(emitted, job.name, "batch_mapper"))
-        else:
-            for key, value in split:
-                emitted = job.run_mapper(key, value, task_counters)
-                if emitted is not None:
-                    out.extend(self._validated(emitted, job.name, "mapper"))
-        if conf.use_combiner and job.combiner is not None:
-            out = self._combine(job, out)
-        return out, task_counters
-
-    def _reduce_groups(
-        self, job: MapReduceJob, groups: Sequence[tuple[object, list]]
-    ) -> tuple[list[tuple], Counters]:
-        """One clean reduce attempt over a partition's grouped keys."""
-        task_counters = Counters()
-        out: list[tuple] = []
-        for key, values in groups:
-            emitted = job.run_reducer(key, values, task_counters)
-            if emitted is not None:
-                out.extend(self._validated(emitted, job.name, "reducer"))
-        return out, task_counters
-
-    @staticmethod
-    def _validated(emitted, job_name: str, stage: str):
-        for pair in emitted:
-            if not isinstance(pair, tuple) or len(pair) != 2:
-                raise MapReduceError(
-                    f"{stage} of job {job_name!r} emitted {pair!r}; "
-                    "expected (key, value) tuples"
-                )
-            yield pair
-
-    @staticmethod
-    def _combine(job: MapReduceJob, pairs: list[tuple]) -> list[tuple]:
-        from repro.mapreduce.shuffle import sort_grouped_keys
-
-        grouped: dict[object, list] = defaultdict(list)
-        for key, value in pairs:
-            grouped[key].append(value)
-        out: list[tuple] = []
-        for key in sort_grouped_keys(grouped.keys()):
-            out.extend(job.run_combiner(key, grouped[key]))
-        return out

@@ -553,9 +553,13 @@ class SpillingShuffle:
 
         The segment's ``start_seq`` names the contiguous arrival-sequence
         range it covered within its partition, so one replay pass over
-        the task outputs recovers exactly those records in order — O(1)
-        extra memory, like the corrupted-partition retry re-running one
-        task rather than the job.
+        the task outputs recovers exactly those records in order.  That
+        replay is not free in memory: it needs ``_task_outputs``, which
+        retains every map task's output for the whole shuffle, and it
+        collects the segment's records into a list before re-sorting
+        them.  Recovering from the map tasks' input splits instead, with
+        no retained output, is the ROADMAP item "Make the external
+        shuffle actually bound memory".
         """
         lo = seg.start_seq
         hi = seg.start_seq + seg.num_records

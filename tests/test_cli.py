@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.cluster.sparse import candidate_pair_arrays
 from repro.datasets import generate_whole_metagenome_sample
-from repro.seq.fasta import write_fasta
+from repro.minhash.sketch import SketchingConfig, compute_sketches
+from repro.seq.fasta import read_fasta, write_fasta
 
 
 @pytest.fixture
@@ -56,6 +59,38 @@ class TestClusterCommand:
     def test_greedy_method(self, fasta_path, capsys):
         code = main(["cluster", fasta_path, "--method", "greedy", "--hashes", "32"])
         assert code == 0
+
+    @pytest.mark.parametrize("mode", ["engine", "in-process"])
+    def test_sparse_accounting_line(self, fasta_path, monkeypatch, capsys, mode):
+        args = [
+            "cluster", fasta_path, "--hashes", "32", "--threshold", "0.78",
+            "--linkage", "single",
+        ]
+        if mode == "engine":
+            args.append("--engine-sparse")
+        else:
+            # No CLI flag selects the in-process join; force sparse=True.
+            class InProcess(cli.MrMCMinH):
+                def __init__(self, **kwargs):
+                    super().__init__(**{**kwargs, "sparse": True})
+
+            monkeypatch.setattr(cli, "MrMCMinH", InProcess)
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        line = next(l for l in err.splitlines() if l.startswith("# sparse:"))
+
+        sketches = compute_sketches(
+            read_fasta(fasta_path), SketchingConfig(kmer_size=5, num_hashes=32)
+        )
+        ii, _, collisions = candidate_pair_arrays(sketches)
+        edges = int((collisions / 32 >= 0.78).sum())
+        assert 0 < edges < ii.size
+        prefix = f"# sparse: {ii.size} candidate pairs, {edges} edges, "
+        if mode == "engine":
+            assert line.startswith(prefix + "2 round(s), ")
+            assert not line.endswith(" 0 shuffle bytes")
+        else:
+            assert line == prefix + "0 round(s), 0 shuffle bytes"
 
 
 class TestDiversityCommand:

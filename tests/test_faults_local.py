@@ -203,10 +203,30 @@ class TestDegradationAndRejection:
     def test_serial_and_multiprocess_agree_under_faults(self):
         plan = FaultPlan(seed=11, mapper_crash_rate=0.4, max_faulted_attempts=2)
         policy = RetryPolicy(max_attempts=3)
-        serial = SerialRunner().run(
+        serial = SerialRunner(trace=True).run(
             WORDCOUNT, DOCS, CONF, fault_plan=plan, retry=policy
         )
-        parallel = MultiprocessRunner(num_workers=2).run(
-            WORDCOUNT, DOCS, CONF, fault_plan=plan, retry=policy
+        assert serial.counters.get("fault", "task_retries") > 0
+        groups = ("job", "fault")
+        fields = (
+            "records_in", "records_out", "bytes_in", "bytes_out",
+            "attempts", "failures",
         )
-        assert serial.output == parallel.output == clean_output()
+
+        def task_fields(trace):
+            return [
+                [getattr(task, name) for name in fields]
+                for task in trace.map_tasks + trace.reduce_tasks
+            ]
+
+        for workers in (1, 2):
+            parallel = MultiprocessRunner(num_workers=workers, trace=True).run(
+                WORDCOUNT, DOCS, CONF, fault_plan=plan, retry=policy
+            )
+            assert serial.output == parallel.output == clean_output()
+            for group in groups:
+                assert (
+                    serial.counters.as_dict()[group]
+                    == parallel.counters.as_dict()[group]
+                ), (workers, group)
+            assert task_fields(serial.trace) == task_fields(parallel.trace), workers

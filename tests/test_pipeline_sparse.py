@@ -1,10 +1,10 @@
-"""Tests for the sparse pipeline mode and the Map-Reduce candidate join."""
+"""Tests for the in-process sparse pipeline mode."""
 
 import pytest
 
 from repro.errors import ClusteringError
 from repro.cluster.pipeline import MrMCMinH
-from repro.cluster.sparse import candidate_pairs, candidate_pairs_mapreduce
+from repro.cluster.sparse import candidate_pairs
 from repro.datasets import generate_whole_metagenome_sample
 from repro.minhash.sketch import SketchingConfig, compute_sketches
 
@@ -17,24 +17,6 @@ def sample():
 @pytest.fixture(scope="module")
 def sketches(sample):
     return compute_sketches(sample, SketchingConfig(kmer_size=5, num_hashes=48, seed=0))
-
-
-class TestCandidateJoinJob:
-    def test_matches_direct_computation(self, sketches):
-        direct = candidate_pairs(sketches)
-        via_job, result = candidate_pairs_mapreduce(sketches, num_reduce_tasks=3)
-        assert via_job == direct
-        assert result.trace is not None
-        assert result.trace.job_name == "sparse-candidates"
-
-    def test_max_group_respected(self, sketches):
-        direct = candidate_pairs(sketches, max_group=3)
-        via_job, _ = candidate_pairs_mapreduce(sketches, max_group=3)
-        assert via_job == direct
-
-    def test_empty_rejected(self):
-        with pytest.raises(ClusteringError):
-            candidate_pairs_mapreduce([])
 
 
 class TestSparsePipeline:
@@ -66,14 +48,17 @@ class TestSparsePipeline:
         ).fit(sample)
         assert partition(dict(dense.assignment)) == partition(dict(sparse.assignment))
 
-    def test_sparse_traces_present(self, sample):
+    def test_sparse_traces_present(self, sample, sketches):
         run = MrMCMinH(
             kmer_size=5, num_hashes=48, threshold=0.78,
             method="greedy", seed=0, sparse=True,
         ).fit(sample)
-        names = [t.job_name for t in run.traces]
-        assert "sparse-candidates" in names
+        assert run.mode == "sparse"
         assert run.similarity is None  # no dense matrix materialised
+        # The in-process join runs no engine job of its own.
+        names = [t.job_name for t in run.traces]
+        assert "sparse-candidates" not in names
+        assert run.sparse_stats["candidate_pairs"] == len(candidate_pairs(sketches))
 
     def test_invalid_combinations(self):
         with pytest.raises(ClusteringError, match="single"):
