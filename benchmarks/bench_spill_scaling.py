@@ -22,12 +22,20 @@ it (threshold 0 = spill every buffer), which is the same exact parity
 gate bench_trajectory pins at its own workload.  The script exits
 non-zero if any parity check fails or if spilling/streaming did not
 actually engage.
+
+Memory is reported per phase (sketching, engine chain, in-process
+reference): the kernel's resident-set high-water mark (``VmHWM``) is
+reset before each phase by writing ``5`` to ``/proc/self/clear_refs``
+and read after it.  ``max_rss_mib_after_engine`` is the lifetime
+``ru_maxrss`` once the engine chain has run.  Per-phase peaks need
+Linux; elsewhere they are reported as ``null``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import resource
 import sys
 import time
@@ -45,9 +53,30 @@ DEFAULTS = {
 }
 
 
+_HWM = re.compile(r"^VmHWM:\s+(\d+) kB", re.MULTILINE)
+
+
 def _max_rss_mib() -> float:
     # ru_maxrss is KiB on Linux.
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _reset_peak_rss() -> None:
+    """Restart the kernel's resident-set high-water mark from now."""
+    try:
+        with open("/proc/self/clear_refs", "w", encoding="ascii") as fh:
+            fh.write("5")
+    except OSError:
+        pass  # not Linux: _peak_rss_mib reports None
+
+
+def _peak_rss_mib() -> float | None:
+    """Peak resident set (MiB) since the last :func:`_reset_peak_rss`."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            return round(int(_HWM.search(fh.read()).group(1)) / 1024.0, 1)
+    except (OSError, AttributeError):
+        return None
 
 
 def measure(
@@ -81,12 +110,16 @@ def measure(
     config = SketchingConfig(
         kmer_size=p["kmer_size"], num_hashes=p["num_hashes"], seed=p["seed"]
     )
+    peaks = {}
+    _reset_peak_rss()
     t0 = time.perf_counter()
     sketches = compute_sketches_batch(reads, config, config.make_family())
     sketch_seconds = time.perf_counter() - t0
+    peaks["sketch"] = _peak_rss_mib()
     del reads
 
     # ---- the spilled + streamed engine chain ----------------------------
+    _reset_peak_rss()
     t0 = time.perf_counter()
     run = run_sparse_jobs(
         sketches,
@@ -99,6 +132,7 @@ def measure(
         spill_threshold_bytes=spill_threshold_bytes,
     )
     engine_seconds = time.perf_counter() - t0
+    peaks["engine"] = _peak_rss_mib()
     rss_after_engine = _max_rss_mib()
 
     # Stream mode must actually stream: the scored pair list never lands
@@ -115,6 +149,7 @@ def measure(
     spilled_ok = spill_segments > 0
 
     # ---- exactness cross-check vs the in-process sparse path ------------
+    _reset_peak_rss()
     in_process_pairs = candidate_pairs(sketches, max_group=p["max_group"])
     pairs_ok = run.candidate_pair_count == len(in_process_pairs)
     matrix = sketch_matrix(sketches)
@@ -130,6 +165,7 @@ def measure(
         ),
     )
     assignment_ok = reference.to_tsv() == run.assignment.to_tsv()
+    peaks["in_process"] = _peak_rss_mib()
 
     result = {
         "num_reads": num_reads,
@@ -148,6 +184,7 @@ def measure(
         "spill_bytes": spill_bytes,
         "spill_records": spill_records,
         "max_rss_mib_after_engine": round(rss_after_engine, 1),
+        "peak_rss_mib": peaks,
         "streamed": streamed_ok,
         "spilled": spilled_ok,
         "pairs_match_in_process": pairs_ok,
@@ -173,6 +210,10 @@ def measure(
     return result
 
 
+def _mib(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.1f}"
+
+
 def render(result: dict) -> str:
     threshold = result["spill_threshold_bytes"]
     lines = [
@@ -196,6 +237,10 @@ def render(result: dict) -> str:
         f"  spill records         {result['spill_records']:>12d}",
         f"  driver max RSS        {result['max_rss_mib_after_engine']:>12.1f}"
         " MiB",
+        *(
+            f"  peak RSS {phase:<12s} {_mib(peak):>12s} MiB"
+            for phase, peak in result["peak_rss_mib"].items()
+        ),
         f"  pairs == in-process   {str(result['pairs_match_in_process']):>12s}",
         f"  tsv   == in-process   "
         f"{str(result['assignment_match_in_process']):>12s}",

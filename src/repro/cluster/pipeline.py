@@ -200,14 +200,15 @@ class MrMCMinH:
         correction is only valid for the positional estimator, so the
         flag rejects ``estimator="set"`` combinations.
     spill_threshold_bytes:
-        Engage the external spill-to-disk shuffle
-        (:class:`~repro.mapreduce.shuffle.SpillingShuffle`) in every job
-        the pipeline runs: per-partition map-output buffers over this
-        size are sorted and spilled to CRC-guarded segment files and
-        merged lazily, so shuffle memory stays bounded at ~1M-read
-        scale.  The engine-sparse path additionally streams verified
-        candidate edges straight into the clusterer.  ``None`` (default)
-        keeps everything in memory; output is byte-identical either way.
+        ``JobConf.spill_threshold_bytes`` for every job the pipeline
+        runs: per-partition shuffle buffers over this size are sorted
+        and spilled to CRC-guarded segment files and merged lazily, so
+        the shuffle holds roughly one threshold per partition plus one
+        map task's output.  Other driver buffers are not bounded by
+        it (see DESIGN.md, "External shuffle").  The engine-sparse path
+        additionally streams verified candidate edges straight into the
+        clusterer.  ``None`` (default) never spills; output is
+        byte-identical either way.
     """
 
     def __init__(

@@ -17,10 +17,11 @@ Two optional fast-path hooks extend the contract:
 * ``batch_mapper(split) -> iterable of (k2, v2)`` — maps a whole task
   split in one call instead of record-by-record, letting vectorised
   kernels (e.g. the min-hash batch sketcher) amortise work across the
-  split.  When present it replaces ``mapper`` inside map tasks; the
+  split.  When present it replaces ``mapper`` inside map tasks, and no
+  code runs the per-record ``mapper``: retried attempts and spill
+  recovery re-run the whole task through ``batch_mapper``.  The
   per-record ``mapper`` must still be supplied and produce identical
-  output, since it remains the reference path (and the unit the fault
-  injector replays).
+  output, since it is the reference the batch path is tested against.
 * ``wire`` — a codec with ``encode_records(records)`` /
   ``decode_records(frame)`` applied at the map/shuffle boundary: each map
   task's output is packed into a compressed frame (with a producer-side

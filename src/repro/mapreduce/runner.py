@@ -1,13 +1,16 @@
 """The job driver shared by every runner, and its serial executor.
 
 :meth:`SerialRunner.run` is the only job driver.  It splits the input
-into map tasks, routes map output through the job's wire codec and the
-(optionally spilling) shuffle, and runs one reduce task per partition,
-with barrier triggers, counters, stage spans, checkpoint recovery,
-``output_sink`` streaming and ``sort_output``.  Each phase's pending
-tasks go to an *executor*: the serial runner's attempt loop runs them one
-after another in-process; :class:`~repro.mapreduce.local.MultiprocessRunner`
-with more than one worker swaps in its asynchronous pool scheduler.  Both
+into map tasks, feeds each task's output through the job's wire codec
+into the shuffle as soon as the task (and every earlier one) completes,
+and runs one reduce task per partition, with barrier triggers, counters,
+stage spans, checkpoint recovery, ``output_sink`` streaming and
+``sort_output``.  No map output is held once it has been routed: a
+bit-rotted spill segment is rebuilt by re-running the map tasks that fed
+it.  Each phase's pending tasks go to an *executor*: the serial runner's
+attempt loop runs them one after another in-process;
+:class:`~repro.mapreduce.local.MultiprocessRunner` with more than one
+worker swaps in its asynchronous pool scheduler.  Both
 executors run the same module-level task bodies (:func:`_map_task`,
 :func:`_reduce_task`), so the two runners count, trace and output alike.
 The per-task CPU time and record counts land in a
@@ -56,8 +59,6 @@ from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.shuffle import (
     SpillingShuffle,
     approx_records_bytes,
-    partition_num_records,
-    shuffle,
     sort_grouped_keys,
     sort_records,
 )
@@ -100,31 +101,23 @@ Finish = Callable[[Task, list, Counters, float, int, list, bool], None]
 
 
 def _through_wire(
-    job: MapReduceJob,
-    map_outputs: list[list[tuple]],
-    counters: Counters,
-    trace: JobTrace | None,
-) -> list[list[tuple]]:
-    """Route map outputs through the job's wire codec.
+    job: MapReduceJob, out: list[tuple], counters: Counters | None = None
+) -> list[tuple]:
+    """One map task's output through the job's wire codec and back.
 
-    Each map task's record list is encoded into a compressed frame (the
-    codec stamps a producer-side checksum into it), the trace's shuffle
-    bytes are billed at *frame* size — that is the whole point of the
-    compressed wire format — and frames are decoded (checksum verified)
-    before partitioning, mirroring reduce-side merge input.  Raw-vs-wire
-    byte counters record the savings.
+    The records are encoded into a compressed frame (the codec stamps a
+    producer-side checksum into it) and decoded (checksum verified)
+    before partitioning, mirroring reduce-side merge input.  With
+    ``counters``, the frame and its raw-vs-wire bytes are counted: the
+    job's shuffle bytes are billed at *frame* size, which is the whole
+    point of the compressed wire format.
     """
-    frames = [job.wire.encode_records(out) for out in map_outputs]
-    raw = sum(approx_records_bytes(out) for out in map_outputs)
-    on_wire = sum(frame.nbytes for frame in frames)
-    counters.increment("wire", "frames", len(frames))
-    counters.increment("wire", "bytes_raw", raw)
-    counters.increment("wire", "bytes_wire", on_wire)
-    if raw > 0:
-        current_tracer().metrics.gauge("mr.wire.compression_ratio").set(on_wire / raw)
-    if trace is not None:
-        trace.shuffle_bytes = on_wire
-    return [job.wire.decode_records(frame) for frame in frames]
+    frame = job.wire.encode_records(out)
+    if counters is not None:
+        counters.increment("wire", "frames")
+        counters.increment("wire", "bytes_raw", approx_records_bytes(out))
+        counters.increment("wire", "bytes_wire", frame.nbytes)
+    return job.wire.decode_records(frame)
 
 
 # ---- task bodies (module-level: both executors run them) -------------------
@@ -326,51 +319,59 @@ class SerialRunner:
                         bytes_in=approx_records_bytes(split) if self.trace else 0,
                     )
                 )
-            map_outputs: list[list[tuple]] = []
-            with tracer.span("map", kind="stage"):
-                map_traces = run_phase(execute, map_tasks, map_outputs.append)
-            if trace is not None:
-                trace.map_tasks.extend(map_traces)
 
-            if plan is not None:
-                plan.trigger_barrier("map_end", counters)
+            def rerun_map_task(t: int) -> list[tuple]:
+                out, _counters = map_tasks[t].body(*map_tasks[t].args)
+                return out if job.wire is None else _through_wire(job, out)
 
-            # ---- shuffle -------------------------------------------------
-            # The try/finally spans shuffle AND reduce: spill segments must
-            # be removed even when finish() itself fails (unrepairable
-            # bit-rot), not just on reducer errors.
-            spill: SpillingShuffle | None = None
+            # Every map task's output is routed (and spilled) as soon as it
+            # and every earlier task have completed, then dropped.
+            spill = SpillingShuffle(
+                conf.num_reduce_tasks,
+                job.partitioner,
+                spill_threshold_bytes=conf.spill_threshold_bytes,
+                job_name=job.name,
+                fault_plan=plan,
+                counters=counters,
+                rerun_map_task=rerun_map_task,
+            )
+
+            def route(out: list[tuple]) -> None:
+                if job.wire is not None:
+                    out = _through_wire(job, out, counters)
+                spill.add_task_output(out)
+
+            # The try/finally spans every phase: spill segments must be
+            # removed even when finish() itself fails (unrepairable
+            # bit-rot), not just on mapper or reducer errors.
             output: list[tuple] = []
             try:
+                with tracer.span("map", kind="stage"):
+                    map_traces = run_phase(execute, map_tasks, route)
+                if trace is not None:
+                    trace.map_tasks.extend(map_traces)
+
+                if plan is not None:
+                    plan.trigger_barrier("map_end", counters)
+
+                raw = counters.get("wire", "bytes_raw")
+                on_wire = counters.get("wire", "bytes_wire")
+                if raw > 0:
+                    tracer.metrics.gauge("mr.wire.compression_ratio").set(on_wire / raw)
+                if trace is not None:
+                    trace.shuffle_bytes = (
+                        on_wire
+                        if job.wire is not None
+                        else sum(t.bytes_out for t in map_traces)
+                    )
+
+                # ---- shuffle: verify segments, build partition views ----
                 with tracer.span("shuffle", kind="stage") as shuffle_span:
-                    if job.wire is not None:
-                        map_outputs = _through_wire(
-                            job, map_outputs, counters, trace
-                        )
-                    if conf.spill_threshold_bytes is not None:
-                        spill = SpillingShuffle(
-                            conf.num_reduce_tasks,
-                            job.partitioner,
-                            spill_threshold_bytes=conf.spill_threshold_bytes,
-                            job_name=job.name,
-                            fault_plan=plan,
-                            counters=counters,
-                        )
-                        for out in map_outputs:
-                            spill.add_task_output(out)
-                        partitions, moved = spill.finish()
-                        shuffle_span.attrs["spill_segments"] = spill.spill_segments
-                        shuffle_span.attrs["spill_bytes"] = spill.spill_bytes
-                    else:
-                        partitions, moved = shuffle(
-                            map_outputs, conf.num_reduce_tasks, job.partitioner
-                        )
+                    partitions, moved = spill.finish()
                     counters.increment("job", "shuffle_records", moved)
-                    if trace is not None and job.wire is None:
-                        trace.shuffle_bytes = sum(
-                            approx_records_bytes(p) for p in map_outputs
-                        )
                     shuffle_span.attrs["records"] = moved
+                    shuffle_span.attrs["spill_segments"] = spill.spill_segments
+                    shuffle_span.attrs["spill_bytes"] = spill.spill_bytes
 
                 # ---- reduce phase ---------------------------------------
                 def sink(out: list[tuple]) -> None:
@@ -385,7 +386,7 @@ class SerialRunner:
                             task_id=f"{job.name}-r{r:04d}",
                             body=_reduce_task,
                             args=(job, groups),
-                            records_in=partition_num_records(groups),
+                            records_in=groups.num_records,
                         )
                         for r, groups in enumerate(partitions)
                     ]
@@ -397,8 +398,7 @@ class SerialRunner:
                 if trace is not None:
                     trace.reduce_tasks.extend(reduce_traces)
             finally:
-                if spill is not None:
-                    spill.close()
+                spill.close()
 
             if plan is not None:
                 plan.trigger_barrier("job_end", counters)

@@ -7,21 +7,21 @@ must therefore be orderable within a job; mixed-type keys fall back to a
 ``(type-name, repr)`` ordering so the engine never crashes on heterogenous
 keys (matching Hadoop's byte-comparator behaviour of "some total order").
 
-Two implementations share that contract:
-
-* :func:`shuffle` — the in-memory reference: one dict bucket per
-  partition, grouped and sorted at the end.  Memory is linear in the
-  shuffle volume, which is the wall the engine hits near ~1M reads.
-* :class:`SpillingShuffle` — the external-memory sort-spill-merge path
-  (Hadoop's MapOutputBuffer/IFile model): map output is buffered per
-  partition up to ``spill_threshold_bytes``, each overflow is sorted and
-  written to a CRC32-guarded temp segment file, and
-  :class:`SpilledPartition` merge-iterates the sorted runs so reducers
-  consume ``(key, values)`` groups lazily.  Output is byte-identical to
-  :func:`shuffle` by construction: runs are sorted with the same
-  natural-order fast path / ``_sort_key`` fallback, the k-way merge
-  tie-breaks on run index (runs are created in arrival order, so group
-  keys and value order reproduce dict insertion order exactly).
+:class:`SpillingShuffle` is the shuffle every job runs through (Hadoop's
+MapOutputBuffer/IFile model).  The job driver feeds it each map task's
+output as that task completes, in task order; the records are routed into
+per-partition buffers and the task's output is dropped.  A partition
+buffer whose estimated size reaches ``spill_threshold_bytes`` is sorted
+and written to a CRC32-guarded temp segment file (``None`` never spills).
+:class:`SpilledPartition` hands each reducer its ``(key, values)`` groups:
+a never-spilled partition is grouped in a dict in arrival order, then
+sorted; a spilled one is heap-merged lazily from its sorted runs.  Both
+are byte-identical to the in-memory reference :func:`shuffle`: runs are
+sorted with the same natural-order / ``_sort_key`` fallback, and the
+k-way merge tie-breaks on run index (runs are created in arrival order,
+so group keys and value order reproduce dict insertion order exactly).
+A bit-rotted segment is rewritten by re-running the map tasks that fed
+it, so no map output is retained.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import struct
 import tempfile
 import zlib
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from repro.errors import FaultError, MapReduceError
@@ -94,7 +94,10 @@ def shuffle(
     num_partitions: int,
     partitioner=default_partitioner,
 ) -> tuple[list[list[tuple[object, list]]], int]:
-    """Route map outputs into grouped, sorted reduce partitions.
+    """Route map outputs into grouped, sorted reduce partitions, in memory.
+
+    Jobs run through :class:`SpillingShuffle`; this function is the
+    reference its equivalence tests compare against.
 
     Parameters
     ----------
@@ -139,14 +142,6 @@ def shuffle(
     return partitions, moved
 
 
-def partition_num_records(partition) -> int:
-    """Records held by one reduce partition, without materializing groups
-    (works for both in-memory group lists and :class:`SpilledPartition`)."""
-    if isinstance(partition, SpilledPartition):
-        return partition.num_records
-    return sum(len(values) for _, values in partition)
-
-
 # ------------------------------------------------------------ spill format
 
 # Segment file: fixed header + back-to-back pickled records.  The CRC32
@@ -159,15 +154,20 @@ _SPILL_HEADER = struct.Struct("<4sIIQ")  # magic, crc32, num_records, payload_le
 
 @dataclass
 class SpillSegment:
-    """One sorted run of one partition, spilled to disk."""
+    """One sorted run of one partition, spilled to disk.
+
+    It holds exactly the partition's records from map tasks
+    ``first_task..last_task``: spills are decided only after a whole task
+    has been routed.
+    """
 
     path: str
     partition: int
     index: int  # spill sequence number within the partition
     num_records: int
     nbytes: int  # payload + header bytes on disk
-    start_seq: int  # arrival-sequence offset of the run's first record
-    natural: bool  # run sorted on the natural fast path
+    first_task: int
+    last_task: int
 
 
 def _write_segment(path: str, payload: bytes, num_records: int, crc: int) -> int:
@@ -233,23 +233,20 @@ def _iter_segment_records(seg: SpillSegment):
                 ) from exc
 
 
-def _load_segment_records(seg: SpillSegment) -> list[tuple]:
-    return list(_iter_segment_records(seg))
-
-
-_END = object()
-
-
+@dataclass
 class SpilledPartition:
-    """Lazy, re-iterable merged view of one reduce partition.
+    """Lazy, re-iterable grouped view of one reduce partition.
 
     Iterating yields ``(key, [values...])`` groups in the same order and
-    with the same value order as the in-memory :func:`shuffle` — see the
-    module docstring for why the merge reproduces dict insertion order.
-    Re-iteration re-streams the segment files, so task attempt retries
-    and speculative re-execution see identical input.  The object is
-    picklable (paths + the in-memory tail), so the multiprocess runner
-    can ship it to pool workers that share the filesystem.
+    with the same value order as the in-memory :func:`shuffle`.  With no
+    segments, ``tail`` holds the records in arrival order and is grouped
+    the way :func:`shuffle` groups; otherwise ``tail`` is the last sorted
+    run and the runs are heap-merged (see the module docstring for why
+    the merge reproduces dict insertion order).  Re-iteration regroups or
+    re-streams the segment files, so task attempt retries and speculative
+    re-execution see identical input.  The object is picklable (paths +
+    the in-memory tail), so the multiprocess runner can ship it to pool
+    workers that share the filesystem.
 
     ``fallback=True`` switches the merge to ``_sort_key`` ordering — the
     mixed-type path.  Fallback runs are re-sorted in memory (bounded by
@@ -261,56 +258,43 @@ class SpilledPartition:
     collide only by accident, and no engine job produces them.
     """
 
-    def __init__(
-        self,
-        partition: int,
-        segments: list[SpillSegment],
-        tail: list[tuple],
-        fallback: bool,
-        num_records: int,
-    ):
-        self.partition = partition
-        self.segments = segments
-        self.tail = tail  # final in-memory run (arrival order = last)
-        self.fallback = fallback
-        self.num_records = num_records
-
-    def _runs(self):
-        if self.fallback:
-            fallback_key = lambda kv: _sort_key(kv[0])  # noqa: E731
-            runs = [
-                sorted(_load_segment_records(seg), key=fallback_key)
-                for seg in self.segments
-            ]
-            runs.append(sorted(self.tail, key=fallback_key))
-            return runs, lambda key: _sort_key(key)
-        runs = [_iter_segment_records(seg) for seg in self.segments]
-        runs.append(iter(self.tail))
-        return runs, lambda key: key
+    partition: int
+    segments: list[SpillSegment]
+    tail: list[tuple]
+    fallback: bool
+    num_records: int
 
     def __iter__(self):
-        runs, keyfn = self._runs()
-        heap: list[tuple] = []
-        iters = [iter(run) for run in runs]
-        for ridx, it in enumerate(iters):
-            rec = next(it, _END)
-            if rec is not _END:
-                heapq.heappush(heap, (keyfn(rec[0]), ridx, rec))
-        group_key = _END
-        values: list = []
-        while heap:
-            _hk, ridx, (key, value) = heapq.heappop(heap)
-            rec = next(iters[ridx], _END)
-            if rec is not _END:
-                heapq.heappush(heap, (keyfn(rec[0]), ridx, rec))
-            if group_key is _END:
-                group_key, values = key, [value]
-            elif key == group_key:
+        if self.segments:
+            return self._merge()
+        groups: dict[object, list] = defaultdict(list)
+        for key, value in self.tail:
+            groups[key].append(value)
+        return iter([(key, groups[key]) for key in sort_grouped_keys(groups)])
+
+    def _merge(self):
+        if self.fallback:
+            run_key = lambda kv: _sort_key(kv[0])  # noqa: E731
+            runs = [
+                sorted(_iter_segment_records(seg), key=run_key)
+                for seg in self.segments
+            ]
+            runs.append(sorted(self.tail, key=run_key))
+        else:
+            run_key = _first
+            runs = [_iter_segment_records(seg) for seg in self.segments]
+            runs.append(self.tail)
+        # heapq.merge breaks key ties by run index, and the first-popped
+        # key instance is the group key.
+        values = None
+        for key, value in heapq.merge(*runs, key=run_key):
+            if values is not None and key == group_key:
                 values.append(value)
-            else:
+                continue
+            if values is not None:
                 yield group_key, values
-                group_key, values = key, [value]
-        if group_key is not _END:
+            group_key, values = key, [value]
+        if values is not None:
             yield group_key, values
 
 
@@ -318,26 +302,30 @@ class SpilledPartition:
 
 
 class SpillingShuffle:
-    """External-memory shuffle: buffer, sort, spill, merge.
+    """The shuffle every job runs through: route, buffer, sort, spill, merge.
 
-    Feed each map task's output through :meth:`add_task_output`; whenever
-    a partition's buffer estimate reaches ``spill_threshold_bytes`` it is
-    sorted and spilled to a CRC-guarded segment file
-    (``spill_threshold_bytes=0`` spills every non-empty buffer — the
-    spill-everything mode the equivalence tests lean on).  :meth:`finish`
-    CRC-verifies every segment (re-spilling bit-rotted ones from the
-    retained map output, mirroring the corrupted-partition retry) and
-    returns lazily-merged :class:`SpilledPartition` views plus the moved
-    record count — the same ``(partitions, shuffle_records)`` contract as
-    :func:`shuffle`.  Call :meth:`close` (or use as a context manager)
-    after the reduce phase to remove the spill directory.
+    Feed each map task's output, in task order, to :meth:`add_task_output`;
+    it routes the records into per-partition buffers and keeps no
+    reference to the output itself.  Once a whole task is routed, every
+    buffer the task touched whose estimated size reaches
+    ``spill_threshold_bytes`` is sorted and spilled to a CRC-guarded
+    segment file (``0`` spills every non-empty buffer, the mode the
+    equivalence tests lean on; ``None`` never spills).  :meth:`finish`
+    CRC-verifies every segment and returns one :class:`SpilledPartition`
+    per reduce partition plus the moved record count — the same
+    ``(partitions, shuffle_records)`` contract as :func:`shuffle`.  Call
+    :meth:`close` (or use as a context manager) after the reduce phase to
+    remove the spill directory.
 
-    With a ``fault_plan`` whose ``spill_corrupt_rate`` is positive,
-    segment writes suffer deterministic bit-rot (payload byte flipped
-    after the clean CRC is computed); the verification pass in
-    :meth:`finish` catches the mismatch, counts it under
-    ``fault:spill_segments_corrupted`` and re-spills with an incremented
-    write attempt.
+    A segment that fails verification is rebuilt from
+    ``rerun_map_task(t)``, which must return map task ``t``'s output
+    again: the job driver re-runs the task body, as Hadoop re-executes
+    the map tasks whose output was lost.  With a ``fault_plan`` whose
+    ``spill_corrupt_rate`` is positive, segment writes suffer
+    deterministic bit-rot (payload byte flipped after the clean CRC is
+    computed); :meth:`finish` catches the mismatch, counts it under
+    ``fault:spill_segments_corrupted`` and rewrites the segment with an
+    incremented write attempt.
     """
 
     def __init__(
@@ -345,18 +333,19 @@ class SpillingShuffle:
         num_partitions: int,
         partitioner=default_partitioner,
         *,
-        spill_threshold_bytes: int = 0,
+        spill_threshold_bytes: int | None = 0,
         spill_dir: str | None = None,
         job_name: str = "job",
         fault_plan=None,
         counters=None,
         max_spill_attempts: int = 4,
+        rerun_map_task: Callable[[int], Iterable[tuple]] | None = None,
     ):
         if num_partitions < 1:
             raise MapReduceError(
                 f"num_partitions must be >= 1, got {num_partitions}"
             )
-        if spill_threshold_bytes < 0:
+        if spill_threshold_bytes is not None and spill_threshold_bytes < 0:
             raise MapReduceError(
                 f"spill_threshold_bytes must be >= 0, got {spill_threshold_bytes}"
             )
@@ -371,17 +360,16 @@ class SpillingShuffle:
         self.fault_plan = fault_plan
         self.counters = counters
         self.max_spill_attempts = max_spill_attempts
+        self.rerun_map_task = rerun_map_task
         self._spill_dir_base = spill_dir
         self._dir: str | None = None
         self._buffers: list[list[tuple]] = [[] for _ in range(num_partitions)]
-        self._buffer_start = [0] * num_partitions  # arrival seq of buffer head
-        self._seq = [0] * num_partitions  # records routed per partition
         self._segments: list[list[SpillSegment]] = [
             [] for _ in range(num_partitions)
         ]
         self._run_fallback = [False] * num_partitions  # a run needed _sort_key
         self._bounds: list[list[tuple]] = [[] for _ in range(num_partitions)]
-        self._task_outputs: list = []  # retained for re-spill on bit-rot
+        self._num_tasks = 0
         self._finished = False
         self._closed = False
         self.spill_segments = 0
@@ -390,12 +378,16 @@ class SpillingShuffle:
 
     # ---- feeding ----------------------------------------------------------
 
-    def add_task_output(self, records) -> None:
+    def add_task_output(self, records: Iterable[tuple]) -> None:
         """Route one map task's output; spill partitions over threshold."""
         if self._finished:
             raise MapReduceError("cannot add map output after finish()")
-        self._task_outputs.append(records)
-        touched = set()
+        task = self._num_tasks
+        self._num_tasks += 1
+        buffers = self._buffers
+        num_partitions = self.num_partitions
+        partitioner = self.partitioner
+        sizes = [len(buffer) for buffer in buffers]
         for pair in records:
             try:
                 key, value = pair
@@ -403,19 +395,22 @@ class SpillingShuffle:
                 raise MapReduceError(
                     f"map output record {pair!r} is not a (key, value) pair"
                 ) from None
-            part = self.partitioner(key, self.num_partitions)
-            if not 0 <= part < self.num_partitions:
+            part = partitioner(key, num_partitions)
+            if not 0 <= part < num_partitions:
                 raise MapReduceError(
                     f"partitioner returned {part} for key {key!r}; "
-                    f"must be in [0, {self.num_partitions})"
+                    f"must be in [0, {num_partitions})"
                 )
-            self._buffers[part].append((key, value))
-            self._seq[part] += 1
-            touched.add(part)
-        for part in sorted(touched):
-            buffer = self._buffers[part]
-            if buffer and approx_records_bytes(buffer) >= self.spill_threshold_bytes:
-                self._spill(part)
+            buffers[part].append(pair)
+        if self.spill_threshold_bytes is None:
+            return
+        for part, size in enumerate(sizes):
+            buffer = buffers[part]
+            if (
+                len(buffer) > size
+                and approx_records_bytes(buffer) >= self.spill_threshold_bytes
+            ):
+                self._spill(part, task)
 
     # ---- spilling ---------------------------------------------------------
 
@@ -426,13 +421,13 @@ class SpillingShuffle:
             )
         return os.path.join(self._dir, f"p{part:04d}-s{index:06d}.seg")
 
-    def _spill(self, part: int) -> None:
-        buffer = self._buffers[part]
-        records, natural = sort_run(buffer)
+    def _spill(self, part: int, task: int) -> None:
+        records, natural = sort_run(self._buffers[part])
+        self._buffers[part] = []
         if not natural:
             self._run_fallback[part] = True
-        index = len(self._segments[part])
-        start_seq = self._buffer_start[part]
+        segments = self._segments[part]
+        index = len(segments)
         path = self._spill_path(part, index)
         with current_tracer().span(
             f"spill:p{part:04d}-s{index:06d}",
@@ -442,20 +437,19 @@ class SpillingShuffle:
             records=len(records),
         ):
             nbytes = self._write_run(path, records, part, index, attempt=1)
-        seg = SpillSegment(
-            path=path,
-            partition=part,
-            index=index,
-            num_records=len(records),
-            nbytes=nbytes,
-            start_seq=start_seq,
-            natural=natural,
+        segments.append(
+            SpillSegment(
+                path=path,
+                partition=part,
+                index=index,
+                num_records=len(records),
+                nbytes=nbytes,
+                first_task=segments[-1].last_task + 1 if segments else 0,
+                last_task=task,
+            )
         )
-        self._segments[part].append(seg)
         # First/last keys of the run feed the merge-order probe in finish().
         self._bounds[part].append((records[0][0], records[-1][0]))
-        self._buffer_start[part] += len(records)
-        self._buffers[part] = []
         self.spill_segments += 1
         self.spill_bytes += nbytes
         self.spill_records += len(records)
@@ -493,46 +487,43 @@ class SpillingShuffle:
     # ---- finishing --------------------------------------------------------
 
     def finish(self) -> tuple[list[SpilledPartition], int]:
-        """Verify all segments, then return the merged partition views.
+        """Verify all segments, then return the grouped partition views.
 
         This is the reducer-side fetch barrier: every segment's CRC is
         checked here (streamed, constant memory) and bit-rotted segments
-        are re-generated from the retained map output — so the lazy merge
-        that follows only ever reads verified files.
+        are rebuilt by re-running the map tasks that fed them — so the
+        lazy merge that follows only ever reads verified files.
         """
         if self._finished:
             raise MapReduceError("finish() already called")
         self._finished = True
-        for part in range(self.num_partitions):
-            for seg in self._segments[part]:
+        for segments in self._segments:
+            for seg in segments:
                 self._verify_or_respill(seg)
-        partitions = []
-        for part in range(self.num_partitions):
-            tail, natural = sort_run(self._buffers[part])
-            self._buffers[part] = []
-            fallback = self._run_fallback[part] or not natural
-            if not fallback:
-                # Natural runs can still be mutually incomparable (e.g.
-                # one run all ints, another all strs): probe the run
-                # boundary keys the way the in-memory path probes the
-                # full key set, and fall back together with it.
-                probe = [key for lo_hi in self._bounds[part] for key in lo_hi]
-                if tail:
-                    probe.extend((tail[0][0], tail[-1][0]))
-                try:
-                    sorted(probe)
-                except TypeError:
-                    fallback = True
-            partitions.append(
-                SpilledPartition(
-                    partition=part,
-                    segments=list(self._segments[part]),
-                    tail=tail,
-                    fallback=fallback,
-                    num_records=self._seq[part],
-                )
-            )
-        return partitions, sum(self._seq)
+        partitions = [self._partition(part) for part in range(self.num_partitions)]
+        return partitions, sum(p.num_records for p in partitions)
+
+    def _partition(self, part: int) -> SpilledPartition:
+        buffer, self._buffers[part] = self._buffers[part], []
+        segments = self._segments[part]
+        if not segments:
+            return SpilledPartition(part, [], buffer, False, len(buffer))
+        tail, natural = sort_run(buffer)
+        fallback = self._run_fallback[part] or not natural
+        if not fallback:
+            # Natural runs can still be mutually incomparable (e.g. one
+            # run all ints, another all strs): probe the run boundary keys
+            # the way the in-memory path probes the full key set, and fall
+            # back together with it.
+            probe = [key for lo_hi in self._bounds[part] for key in lo_hi]
+            if tail:
+                probe.extend((tail[0][0], tail[-1][0]))
+            try:
+                sorted(probe)
+            except TypeError:
+                fallback = True
+        num_records = sum(seg.num_records for seg in segments) + len(tail)
+        return SpilledPartition(part, list(segments), tail, fallback, num_records)
 
     def _verify_or_respill(self, seg: SpillSegment) -> None:
         attempt = 1
@@ -549,41 +540,32 @@ class SpillingShuffle:
             self._respill(seg, attempt)
 
     def _respill(self, seg: SpillSegment, attempt: int) -> None:
-        """Regenerate one segment's run from the retained map output.
+        """Rebuild one segment by re-running the map tasks that fed it.
 
-        The segment's ``start_seq`` names the contiguous arrival-sequence
-        range it covered within its partition, so one replay pass over
-        the task outputs recovers exactly those records in order.  That
-        replay is not free in memory: it needs ``_task_outputs``, which
-        retains every map task's output for the whole shuffle, and it
-        collects the segment's records into a list before re-sorting
-        them.  Recovering from the map tasks' input splits instead, with
-        no retained output, is the ROADMAP item "Make the external
-        shuffle actually bound memory".
+        The segment holds exactly its partition's records from tasks
+        ``first_task..last_task``, so filtering their re-run output by
+        partition and sorting it reproduces the run.  Memory is one task's
+        output plus the segment's records.
         """
-        lo = seg.start_seq
-        hi = seg.start_seq + seg.num_records
-        records: list[tuple] = []
-        seen = 0
-        for task_output in self._task_outputs:
-            for key, value in task_output:
-                if self.partitioner(key, self.num_partitions) != seg.partition:
-                    continue
-                if lo <= seen < hi:
-                    records.append((key, value))
-                seen += 1
-                if seen >= hi:
-                    break
-            if seen >= hi:
-                break
-        if len(records) != seg.num_records:  # pragma: no cover - invariant
+        if self.rerun_map_task is None:
             raise FaultError(
-                f"re-spill of {seg.path} recovered {len(records)} records, "
-                f"expected {seg.num_records}"
+                f"spill segment {seg.path} is corrupt and no map task "
+                "re-run was given to rebuild it"
             )
-        ordered, natural = sort_run(records)
+        records = [
+            pair
+            for task in range(seg.first_task, seg.last_task + 1)
+            for pair in self.rerun_map_task(task)
+            if self.partitioner(pair[0], self.num_partitions) == seg.partition
+        ]
+        if len(records) != seg.num_records:
+            raise FaultError(
+                f"re-running map tasks {seg.first_task}..{seg.last_task} "
+                f"recovered {len(records)} records for {seg.path}, expected "
+                f"{seg.num_records} (is the mapper deterministic?)"
+            )
+        ordered, _natural = sort_run(records)
         self._write_run(seg.path, ordered, seg.partition, seg.index, attempt)
-        seg.natural = natural
 
     # ---- cleanup ----------------------------------------------------------
 

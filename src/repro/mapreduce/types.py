@@ -59,13 +59,15 @@ class JobConf:
         Base of the exponential backoff slept between attempts
         (``backoff * 2**(attempt-1)`` seconds); 0 retries immediately.
     spill_threshold_bytes:
-        Engage the external spill-to-disk shuffle
-        (:class:`~repro.mapreduce.shuffle.SpillingShuffle`): per-partition
-        map-output buffers exceeding this estimated byte size are sorted
-        and spilled to CRC-guarded temp segment files, and reducers
-        merge-iterate the sorted runs lazily (``0`` spills every
-        non-empty buffer).  ``None`` (the default) keeps the in-memory
-        shuffle; output is byte-identical either way.
+        Spill threshold of the job's shuffle
+        (:class:`~repro.mapreduce.shuffle.SpillingShuffle`).  Each map
+        task's output is routed into per-partition buffers as the task
+        completes; a buffer whose estimated byte size reaches this
+        threshold is sorted and spilled to a CRC-guarded temp segment
+        file, and reducers merge-iterate the sorted runs lazily (``0``
+        spills every non-empty buffer).  ``None`` (the default) never
+        spills, so the buffers hold the whole shuffle in memory; output
+        is byte-identical either way.
     """
 
     num_map_tasks: int = 1

@@ -193,11 +193,11 @@ def sketch_values_batch(
     ``N`` separator, which encodes to -1, so no window can span two
     records) and extracts every valid k-mer window in one strided pass.
     Small universes (``4**k <= 2**16``) hash each universe code exactly
-    once into a cached per-family table and dedupe ``(record, code)``
-    pairs through a presence matrix; large universes dedupe by sorting and
-    hash each distinct code per chunk.  Either way the hash family is
-    evaluated as one broadcasted pass over distinct codes and per-sequence
-    minima come from segmented ``take``/``reduceat`` — no per-record
+    once into a cached per-family table and gather every record's windows
+    from it; large universes hash each chunk's distinct codes once.  No
+    ``(record, code)`` dedup is needed: a minimum over a multiset equals
+    the minimum over its distinct elements.  Per-sequence minima come from
+    a blocked ``min`` or segmented ``take``/``reduceat`` — no per-record
     Python loop anywhere.
     """
     k = config.kmer_size
@@ -311,20 +311,16 @@ def _large_universe_minima(
     minima: np.ndarray,
     produced: np.ndarray,
 ) -> None:
-    """Large-universe path: sort-based dedup, hash distinct codes per chunk.
+    """Large-universe path: hash each chunk's distinct codes, then gather.
 
-    ``(record, code)`` pairs are deduped with one ``np.unique`` over the
-    fused key ``record * universe + code`` (record-major, codes ascending
-    within a record — the same order as the per-record feature sets); each
-    chunk hashes only its distinct codes and gathers.
+    Windows arrive record-major (``owners`` is nondecreasing), so each
+    chunk splits into per-record segments at owner changes.  Repeated
+    windows within a record are left in: they cannot change a minimum.
     """
-    combined = np.unique(owners * universe + window_codes)
-    owners_u = combined // universe
-    codes_u = combined % universe
     dtype = _narrow_dtype(universe)
-    for lo in range(0, combined.size, chunk_kmers):
-        chunk_owners = owners_u[lo : lo + chunk_kmers]
-        chunk_codes = codes_u[lo : lo + chunk_kmers]
+    for lo in range(0, window_codes.size, chunk_kmers):
+        chunk_owners = owners[lo : lo + chunk_kmers]
+        chunk_codes = window_codes[lo : lo + chunk_kmers]
         segments = np.concatenate(([0], np.flatnonzero(np.diff(chunk_owners)) + 1))
         segment_owner = chunk_owners[segments]
         distinct, inverse = np.unique(chunk_codes, return_inverse=True)

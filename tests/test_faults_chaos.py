@@ -6,12 +6,14 @@ The seed comes from ``CHAOS_SEED`` (default 0) so CI can sweep a matrix
 of seeds over the same test."""
 
 import os
+from functools import partial
 
 import pytest
 
 from repro.cluster.pipeline import MrMCMinH
 from repro.mapreduce.faults import DatanodeKill, FaultPlan, RetryPolicy
 from repro.mapreduce.hdfs import SimulatedHDFS
+from repro.mapreduce.local import MultiprocessRunner
 from repro.mapreduce.runner import SerialRunner
 
 pytestmark = pytest.mark.chaos
@@ -163,8 +165,13 @@ class TestEndToEndChaos:
         assert retries > 0, "chaos plan injected no faults for this seed"
         assert chaos_run.counters.get("fault", "task_retries") == retries
 
+    @pytest.mark.parametrize(
+        "make_runner",
+        [SerialRunner, partial(MultiprocessRunner, num_workers=2)],
+        ids=["serial", "pool"],
+    )
     def test_spilled_sparse_chain_survives_chaos_byte_identical(
-        self, two_family_records
+        self, two_family_records, make_runner
     ):
         """The external-shuffle chain under full chaos: spilling forced on
         (threshold 0 spills every buffer), mapper crashes, corrupted
@@ -180,7 +187,7 @@ class TestEndToEndChaos:
             spill_corrupt_rate=0.3,
             max_faulted_attempts=2,
         ).bind_hdfs(chaos_fs)
-        runner = SerialRunner(fault_plan=plan, retry=RetryPolicy(max_attempts=4))
+        runner = make_runner(fault_plan=plan, retry=RetryPolicy(max_attempts=4))
         chaos_run, chaos_tsv = run_pipeline(
             two_family_records, runner=runner, hdfs=chaos_fs,
             sparse="engine", spill=0,

@@ -13,8 +13,11 @@ key/value distributions, partition counts and thresholds including
 the fallback merge.
 """
 
+import gc
 import glob
 import os
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +44,10 @@ def spill_equivalent(map_outputs, num_partitions, threshold, **kwargs):
     """Assert SpillingShuffle == shuffle for one input; return the spill."""
     expected, expected_moved = shuffle(map_outputs, num_partitions)
     sp = SpillingShuffle(
-        num_partitions, spill_threshold_bytes=threshold, **kwargs
+        num_partitions,
+        spill_threshold_bytes=threshold,
+        rerun_map_task=map_outputs.__getitem__,
+        **kwargs,
     )
     for out in map_outputs:
         sp.add_task_output(out)
@@ -138,10 +144,12 @@ class TestSpillingShuffleUnit:
 
     def test_unrepairable_bitrot_raises_fault_error(self):
         plan = FaultPlan(seed=0, spill_corrupt_rate=1.0)  # rots every attempt
+        mo = [[(1, "a"), (2, "b")]]
         sp = SpillingShuffle(
-            1, spill_threshold_bytes=0, fault_plan=plan, max_spill_attempts=3
+            1, spill_threshold_bytes=0, fault_plan=plan, max_spill_attempts=3,
+            rerun_map_task=mo.__getitem__,
         )
-        sp.add_task_output([(1, "a"), (2, "b")])
+        sp.add_task_output(mo[0])
         with pytest.raises(FaultError, match="still corrupt after 3"):
             sp.finish()
         sp.close()
@@ -211,6 +219,64 @@ class TestSharedOrdering:
         assert [k for k, _ in result.output] == sort_grouped_keys(
             [v for _, v in inputs]
         )
+
+
+class TaskOutput(list):
+    """A map task's output list that a weak reference can watch."""
+
+
+def _emit_2000(key, value):
+    for i in range(2000):
+        yield i, 1
+
+
+def _sum_values(key, values):
+    yield key, sum(values)
+
+
+class TestNoRetainedMapOutput:
+    """The shuffle routes each map task's output and keeps none of it, so
+    driver memory tracks one task's output, not the job's."""
+
+    @pytest.mark.parametrize("threshold", [0, None])
+    def test_task_outputs_collectable_once_added(self, threshold):
+        sp = SpillingShuffle(2, spill_threshold_bytes=threshold)
+        refs = []
+        for t in range(3):
+            out = TaskOutput((i % 5, t) for i in range(20))
+            refs.append(weakref.ref(out))
+            sp.add_task_output(out)
+            del out
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        _parts, moved = sp.finish()
+        assert moved == 60
+        sp.close()
+
+    def test_runner_peak_memory_flat_in_map_task_count(self):
+        from repro.mapreduce.job import MapReduceJob
+        from repro.mapreduce.runner import SerialRunner
+        from repro.mapreduce.types import JobConf
+
+        job = MapReduceJob(name="mem", mapper=_emit_2000, reducer=_sum_values)
+
+        def peak(num_tasks):
+            conf = JobConf(
+                num_map_tasks=num_tasks, num_reduce_tasks=4, spill_threshold_bytes=0
+            )
+            inputs = [(t, t) for t in range(num_tasks)]  # one input per task
+            tracemalloc.start()
+            try:
+                result = SerialRunner(trace=False).run(job, inputs, conf)
+                peak_bytes = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.output == [(i, num_tasks) for i in range(2000)]
+            return peak_bytes
+
+        # Twice the map output must not mean a much larger peak: each
+        # task's output is spilled and dropped before the next arrives.
+        assert peak(32) < 1.25 * peak(16)
 
 
 # ---- hypothesis property net ----------------------------------------------
