@@ -80,7 +80,15 @@ WORKLOAD = {
 #       count is a pure function of the workload), and
 #       ``shuffle_spill_bytes`` (tolerance — pickle sizes may shift
 #       across python versions).
-SCHEMA_VERSION = 5
+#   6 — adds ``sparse_engine_over_inprocess``: the engine chain's wall time
+#       over the in-process join's (``sparse_engine_ms /
+#       candidate_pairs_ms``, both taken in the same run), gated by a hard
+#       ceiling so the engine's per-record overhead cannot creep back.
+SCHEMA_VERSION = 6
+
+# Hard ceiling of ``sparse_engine_over_inprocess``: twice the ratio
+# measured when the chain's batch reduce/combine hooks landed.
+ENGINE_OVER_INPROCESS_CEILING = 98.3
 
 
 def _best_of(rounds: int, fn) -> float:
@@ -329,6 +337,15 @@ def collect(
             "unit": "ms",
             "direction": "lower",
             "tolerance": 3.0,
+        },
+        "sparse_engine_over_inprocess": {
+            # Same-run ratio: host speed cancels out, so the ceiling can
+            # be tight where the absolute timings cannot.
+            "value": round(engine_ms / candidates_ms, 2),
+            "unit": "x",
+            "direction": "lower",
+            "tolerance": 1.0,
+            "ceiling": ENGINE_OVER_INPROCESS_CEILING,
         },
         "sparse_candidate_pairs": {
             # Deterministic function of the pinned workload's sketches;

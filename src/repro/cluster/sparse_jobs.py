@@ -16,6 +16,11 @@ and MapReduce*) applied to the paper's min-hash sketches::
     driver  above-threshold edges   -> union-find / greedy sweep
                                         (repro.cluster.sparse helpers)
 
+Both jobs run their reduce (and the verify job its map and combine) as
+one call per task through the engine's batch hooks
+(:func:`lsh_candidates_job`, :func:`verify_candidates_job`); the
+per-record callables they replace stay as the tested reference.
+
 With ``band_size=1`` (the default) the banding key is ``(hash index,
 min-hash value)`` — exactly the grouping of
 :func:`repro.cluster.sparse.candidate_pairs` — so the chain's candidate
@@ -47,8 +52,10 @@ from __future__ import annotations
 
 import time
 import zlib
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, combinations, repeat
 
 import numpy as np
 
@@ -56,7 +63,8 @@ from repro.errors import ClusteringError, SparseCompatibilityError
 from repro.cluster.assignments import ClusterAssignment
 from repro.cluster.sparse import make_edge_stream
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.job import MapReduceJob, identity_mapper
+from repro.mapreduce.job import MapReduceJob, identity_batch_mapper, identity_mapper
+from repro.mapreduce.shuffle import sort_grouped_keys
 from repro.mapreduce.types import JobConf, JobTrace, stable_hash
 from repro.minhash.sketch import MinHashSketch, sketch_matrix
 from repro.minhash.wire import effective_threshold, pack_values, unpack_values
@@ -159,6 +167,7 @@ class CandidatePairReducer:
     multiplicities into per-pair collision counts.  Groups larger than
     ``max_group`` are dropped — the degenerate-value cap real Hadoop LSH
     jobs apply, mirrored from :func:`repro.cluster.sparse.candidate_pairs`.
+    :meth:`batch` is the whole-partition form the job runs.
     """
 
     def __init__(self, max_group: int | None = None):
@@ -170,9 +179,32 @@ class CandidatePairReducer:
             return
         if self.max_group is not None and len(members) > self.max_group:
             return
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                yield (members[a], members[b]), 1
+        for pair in combinations(members, 2):
+            yield pair, 1
+
+    def batch(self, groups) -> list[tuple]:
+        out: list[tuple] = []
+        for _key, members in groups:
+            members = sorted(set(members))
+            if len(members) < 2:
+                continue
+            if self.max_group is not None and len(members) > self.max_group:
+                continue
+            out.extend(zip(combinations(members, 2), repeat(1)))
+        return out
+
+
+def lsh_candidates_job(
+    band_size: int = 1, max_group: int | None = None
+) -> MapReduceJob:
+    """The chain's first round: band the sketches, emit colliding pairs."""
+    reducer = CandidatePairReducer(max_group)
+    return MapReduceJob(
+        name="lsh-candidates",
+        mapper=LshBandMapper(band_size),
+        reducer=reducer,
+        batch_reducer=reducer.batch,
+    )
 
 
 # ----------------------------------------------------------- job 2: verify
@@ -181,6 +213,14 @@ class CandidatePairReducer:
 def sum_combiner(key, values):
     """Sum per-pair multiplicities map-side to shrink the shuffle."""
     yield key, sum(values)
+
+
+def sum_batch_combiner(records) -> list[tuple]:
+    """:func:`sum_combiner` over one map task's whole output."""
+    totals: dict = defaultdict(int)
+    for key, value in records:
+        totals[key] += value
+    return [(key, totals[key]) for key in sort_grouped_keys(totals)]
 
 
 class VerifyReducer:
@@ -193,8 +233,13 @@ class VerifyReducer:
     driver thresholds it at :func:`effective_threshold` rather than θ.
     Emits ``((i, j), (collisions, match))`` for *all* surviving
     candidates so the candidate set and the edge set both come out of one
-    reduce pass.
+    reduce pass.  :meth:`batch` is the whole-partition form the job runs:
+    it scores the partition's pairs with one fancy-index compare per
+    chunk of :attr:`chunk_pairs` pairs.
     """
+
+    #: Pairs compared per fancy-index chunk (bounds the gathered rows).
+    chunk_pairs = 1 << 15
 
     def __init__(self, side: SketchSideData, min_shared: int = 1):
         self.side = side
@@ -207,15 +252,62 @@ class VerifyReducer:
         state["_matrix"] = None
         return state
 
-    def __call__(self, pair, counts):
+    def _decoded(self) -> np.ndarray:
         if self._matrix is None:
             self._matrix = self.side.matrix()
+        return self._matrix
+
+    def __call__(self, pair, counts):
+        matrix = self._decoded()
         collisions = int(sum(counts))
         if collisions < self.min_shared:
             return
         i, j = pair
-        matches = int(np.count_nonzero(self._matrix[i] == self._matrix[j]))
+        matches = int(np.count_nonzero(matrix[i] == matrix[j]))
         yield pair, (collisions, matches / self.side.num_hashes)
+
+    def batch(self, groups) -> list[tuple]:
+        matrix = self._decoded()
+        pairs: list[tuple] = []
+        collisions: list[int] = []
+        for pair, counts in groups:
+            total = int(sum(counts))
+            if total >= self.min_shared:
+                pairs.append(pair)
+                collisions.append(total)
+        out: list[tuple] = []
+        for start in range(0, len(pairs), self.chunk_pairs):
+            chunk = pairs[start : start + self.chunk_pairs]
+            ends = np.fromiter(
+                chain.from_iterable(chunk), dtype=np.int64, count=2 * len(chunk)
+            )
+            same = matrix[ends[0::2]] == matrix[ends[1::2]]
+            matches = np.count_nonzero(same, axis=1)
+            scores = (matches / self.side.num_hashes).tolist()
+            out.extend(
+                zip(chunk, zip(collisions[start : start + self.chunk_pairs], scores))
+            )
+        return out
+
+
+def verify_candidates_job(
+    side: SketchSideData, min_shared: int = 1
+) -> MapReduceJob:
+    """The chain's second round: sum collisions, score pairs on side data.
+
+    One :class:`VerifyReducer` serves as both the per-record and the
+    batch reducer, so each process decodes the side data once.
+    """
+    verifier = VerifyReducer(side, min_shared)
+    return MapReduceJob(
+        name="verify-candidates",
+        mapper=identity_mapper,
+        combiner=sum_combiner,
+        reducer=verifier,
+        batch_mapper=identity_batch_mapper,
+        batch_combiner=sum_batch_combiner,
+        batch_reducer=verifier.batch,
+    )
 
 
 # ----------------------------------------------------------------- driver
@@ -311,9 +403,12 @@ def run_sparse_jobs(
         byte-identical to the collected path because both clusterers are
         edge-order/duplication independent.  Requires a ``threshold``.
     spill_threshold_bytes:
-        Forwarded to both jobs' :class:`JobConf` — engages the external
-        spill-to-disk shuffle so the chain's group-bys also stop being
-        memory-bound.  ``None`` keeps the in-memory shuffle.
+        Forwarded to both jobs' :class:`JobConf` as the spill threshold
+        of their :class:`~repro.mapreduce.shuffle.SpillingShuffle` (every
+        job runs through it; ``None`` never spills).  Spilling bounds
+        the shuffle's buffers, not the chain: the driver still collects
+        the whole LSH job output (one record per pair collision) and
+        hands it to the verify job as a list.
     """
     from repro.mapreduce.runner import SerialRunner
 
@@ -358,11 +453,7 @@ def run_sparse_jobs(
         band_size=band_size,
         num_records=n,
     ):
-        band_job = MapReduceJob(
-            name="lsh-candidates",
-            mapper=LshBandMapper(band_size),
-            reducer=CandidatePairReducer(max_group),
-        )
+        band_job = lsh_candidates_job(band_size, max_group)
         inputs = [(i, s.values.tolist()) for i, s in enumerate(sketches)]
         band_result = runner.run(
             band_job,
@@ -387,12 +478,7 @@ def run_sparse_jobs(
         wire_bits=wire_bits,
     ):
         side = SketchSideData.pack(matrix, wire_bits)
-        verify_job = MapReduceJob(
-            name="verify-candidates",
-            mapper=identity_mapper,
-            combiner=sum_combiner,
-            reducer=VerifyReducer(side, min_shared),
-        )
+        verify_job = verify_candidates_job(side, min_shared)
         verify_conf = JobConf(
             num_map_tasks=num_map_tasks,
             num_reduce_tasks=num_reduce_tasks,

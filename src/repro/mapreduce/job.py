@@ -12,21 +12,32 @@ Mappers/reducers may optionally accept a keyword-only ``context`` (a
 :class:`~repro.mapreduce.counters.Counters` object) to emit counters; the
 runner detects this by signature inspection once per job.
 
-Two optional fast-path hooks extend the contract:
+Optional fast-path hooks extend the contract:
 
 * ``batch_mapper(split) -> iterable of (k2, v2)`` — maps a whole task
   split in one call instead of record-by-record, letting vectorised
   kernels (e.g. the min-hash batch sketcher) amortise work across the
   split.  When present it replaces ``mapper`` inside map tasks, and no
   code runs the per-record ``mapper``: retried attempts and spill
-  recovery re-run the whole task through ``batch_mapper``.  The
-  per-record ``mapper`` must still be supplied and produce identical
-  output, since it is the reference the batch path is tested against.
+  recovery re-run the whole task through ``batch_mapper``.
+* ``batch_combiner(records) -> iterable of (k2, v2)`` — combines one map
+  task's whole output in one call.  It must return exactly what the
+  per-record ``combiner`` returns when run over the task's grouped keys
+  in :func:`~repro.mapreduce.shuffle.sort_grouped_keys` order.
+* ``batch_reducer(groups) -> iterable of (k3, v3)`` — reduces one whole
+  partition (its ``(key, values)`` groups, in sorted key order) in one
+  call, and may take the keyword-only ``context`` like ``reducer``.
 * ``wire`` — a codec with ``encode_records(records)`` /
   ``decode_records(frame)`` applied at the map/shuffle boundary: each map
   task's output is packed into a compressed frame (with a producer-side
   checksum), the shuffle accounts frame bytes, and frames are decoded
   before reduce.  See :class:`~repro.minhash.wire.SketchWireCodec`.
+
+Each batch hook runs in place of its per-record callable, on every
+attempt, and the shuffle carries the same records either way.  The
+per-record ``mapper``, ``combiner`` and ``reducer`` must still be
+supplied and produce identical output: they are the reference the batch
+paths are tested against.
 """
 
 from __future__ import annotations
@@ -47,6 +58,11 @@ Partitioner = Callable[[object, int], int]
 def identity_mapper(key, value):
     """Pass records through unchanged."""
     yield key, value
+
+
+def identity_batch_mapper(split):
+    """Pass a whole split through unchanged (``identity_mapper``'s batch form)."""
+    return split
 
 
 def identity_reducer(key, values):
@@ -74,9 +90,14 @@ class MapReduceJob:
     partitioner: Partitioner = default_partitioner
     batch_mapper: Callable | None = None
     wire: object | None = None
+    batch_reducer: Callable | None = None
+    batch_combiner: Callable | None = None
     _mapper_ctx: bool = field(init=False, repr=False, compare=False, default=False)
     _reducer_ctx: bool = field(init=False, repr=False, compare=False, default=False)
     _batch_ctx: bool = field(init=False, repr=False, compare=False, default=False)
+    _batch_reducer_ctx: bool = field(
+        init=False, repr=False, compare=False, default=False
+    )
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -87,9 +108,14 @@ class MapReduceJob:
             raise MapReduceError(f"reducer for job {self.name!r} is not callable")
         if self.combiner is not None and not callable(self.combiner):
             raise MapReduceError(f"combiner for job {self.name!r} is not callable")
-        if self.batch_mapper is not None and not callable(self.batch_mapper):
+        for hook in ("batch_mapper", "batch_reducer", "batch_combiner"):
+            fn = getattr(self, hook)
+            if fn is not None and not callable(fn):
+                raise MapReduceError(f"{hook} for job {self.name!r} is not callable")
+        if self.batch_combiner is not None and self.combiner is None:
             raise MapReduceError(
-                f"batch_mapper for job {self.name!r} is not callable"
+                f"batch_combiner for job {self.name!r} needs the per-record "
+                "combiner it replaces"
             )
         if self.wire is not None and not (
             callable(getattr(self.wire, "encode_records", None))
@@ -103,6 +129,10 @@ class MapReduceJob:
         object.__setattr__(self, "_reducer_ctx", _takes_context(self.reducer))
         if self.batch_mapper is not None:
             object.__setattr__(self, "_batch_ctx", _takes_context(self.batch_mapper))
+        if self.batch_reducer is not None:
+            object.__setattr__(
+                self, "_batch_reducer_ctx", _takes_context(self.batch_reducer)
+            )
 
     def run_mapper(self, key, value, counters) -> Iterable[tuple]:
         """Invoke the mapper on one record, passing counters if accepted."""
@@ -130,6 +160,12 @@ class MapReduceJob:
         if self._reducer_ctx:
             return self.reducer(key, values, context=counters)
         return self.reducer(key, values)
+
+    def run_batch_reducer(self, groups, counters) -> Iterable[tuple]:
+        """Invoke the batch reducer on one whole partition's groups."""
+        if self._batch_reducer_ctx:
+            return self.batch_reducer(groups, context=counters)
+        return self.batch_reducer(groups)
 
     def run_combiner(self, key, values) -> Iterable[tuple]:
         """Invoke the combiner (identity when none is configured)."""

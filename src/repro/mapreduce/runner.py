@@ -132,12 +132,14 @@ def _map_task(
     if job.batch_mapper is not None:
         emitted = job.run_batch_mapper(split, task_counters)
         if emitted is not None:
-            out.extend(_validated(emitted, job.name, "batch_mapper"))
+            out.extend(emitted)
+        _check_pairs(out, job.name, "batch_mapper")
     else:
         for key, value in split:
             emitted = job.run_mapper(key, value, task_counters)
             if emitted is not None:
-                out.extend(_validated(emitted, job.name, "mapper"))
+                out.extend(emitted)
+        _check_pairs(out, job.name, "mapper")
     if use_combiner and job.combiner is not None:
         out = _combine(job, out)
     return out, task_counters
@@ -149,24 +151,40 @@ def _reduce_task(
     """One clean reduce attempt over a partition's grouped keys."""
     task_counters = Counters()
     out: list[tuple] = []
-    for key, values in groups:
-        emitted = job.run_reducer(key, values, task_counters)
+    if job.batch_reducer is not None:
+        emitted = job.run_batch_reducer(groups, task_counters)
         if emitted is not None:
-            out.extend(_validated(emitted, job.name, "reducer"))
+            out.extend(emitted)
+        _check_pairs(out, job.name, "batch_reducer")
+    else:
+        for key, values in groups:
+            emitted = job.run_reducer(key, values, task_counters)
+            if emitted is not None:
+                out.extend(emitted)
+        _check_pairs(out, job.name, "reducer")
     return out, task_counters
 
 
-def _validated(emitted, job_name: str, stage: str):
-    for pair in emitted:
+def _check_pairs(out: list, job_name: str, stage: str) -> None:
+    """Raise unless every record ``stage`` emitted is a ``(key, value)`` tuple.
+
+    The common case (exact 2-tuples) is settled by two C-level passes;
+    anything else (tuple subclasses such as namedtuples, or a bad
+    record) takes the per-record loop, which names the first offender.
+    """
+    if set(map(type, out)) <= {tuple} and set(map(len, out)) <= {2}:
+        return
+    for pair in out:
         if not isinstance(pair, tuple) or len(pair) != 2:
             raise MapReduceError(
                 f"{stage} of job {job_name!r} emitted {pair!r}; "
                 "expected (key, value) tuples"
             )
-        yield pair
 
 
 def _combine(job: MapReduceJob, pairs: list[tuple]) -> list[tuple]:
+    if job.batch_combiner is not None:
+        return list(job.batch_combiner(pairs))
     grouped: dict[object, list] = defaultdict(list)
     for key, value in pairs:
         grouped[key].append(value)

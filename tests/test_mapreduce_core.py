@@ -130,6 +130,43 @@ class TestJobDefinition:
                 name="j", mapper=identity_mapper, reducer=identity_reducer, combiner=5
             )
 
+    @pytest.mark.parametrize(
+        "hook", ["batch_mapper", "batch_reducer", "batch_combiner"]
+    )
+    def test_batch_hook_must_be_callable(self, hook):
+        with pytest.raises(MapReduceError, match=f"{hook} for job 'j' is not callable"):
+            MapReduceJob(
+                name="j",
+                mapper=identity_mapper,
+                reducer=identity_reducer,
+                combiner=identity_reducer,
+                **{hook: 5},
+            )
+
+    def test_batch_combiner_needs_its_reference_combiner(self):
+        with pytest.raises(MapReduceError, match="needs the per-record combiner"):
+            MapReduceJob(
+                name="j",
+                mapper=identity_mapper,
+                reducer=identity_reducer,
+                batch_combiner=list,
+            )
+
+    def test_batch_reducer_context_detection(self):
+        def batch_reducer(groups, *, context):
+            context.increment("test", "partitions")
+            return [(key, len(values)) for key, values in groups]
+
+        job = MapReduceJob(
+            name="j",
+            mapper=identity_mapper,
+            reducer=identity_reducer,
+            batch_reducer=batch_reducer,
+        )
+        counters = Counters()
+        assert job.run_batch_reducer([("k", [1, 2])], counters) == [("k", 2)]
+        assert counters.get("test", "partitions") == 1
+
     def test_context_detection(self):
         def mapper_with_ctx(key, value, *, context):
             context.increment("test", "calls")
