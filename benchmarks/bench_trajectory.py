@@ -47,15 +47,6 @@ WORKLOAD = {
     "wire_bits": 8,
     "seed": 0,
     "timing_rounds": 3,
-    # Fixed-overload scenario for the job-service metrics: 2 tenants
-    # each submit 6 jobs into depth-2 queues served by 2 slots.  The
-    # burst is admitted before the slots start, so the shed set is
-    # purely structural (4 accepted, 8 shed) and gates exactly.
-    "service_tenants": 2,
-    "service_jobs_per_tenant": 6,
-    "service_queue_depth": 2,
-    "service_slots": 2,
-    "service_job_seconds": 0.02,
 }
 
 # Schema history:
@@ -84,7 +75,11 @@ WORKLOAD = {
 #       over the in-process join's (``sparse_engine_ms /
 #       candidate_pairs_ms``, both taken in the same run), gated by a hard
 #       ceiling so the engine's per-record overhead cannot creep back.
-SCHEMA_VERSION = 6
+#   7 — drops the job-service section added in 3 (``service_shed_rate``,
+#       ``service_p50_latency_ms``, ``service_p99_latency_ms``, the
+#       ``service`` block and the ``service_*`` workload keys) with the
+#       service itself; every other gate carries over unchanged.
+SCHEMA_VERSION = 7
 
 # Hard ceiling of ``sparse_engine_over_inprocess``: twice the ratio
 # measured when the chain's batch reduce/combine hooks landed.
@@ -99,86 +94,6 @@ def _best_of(rounds: int, fn) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best * 1000.0
-
-
-def _collect_service(w: dict) -> tuple[dict, dict]:
-    """Run the fixed-overload service scenario.
-
-    Returns ``(metrics, info)``: the gated metrics (shed rate exact,
-    latency percentiles with generous tolerance) and the informational
-    ``service`` block (health snapshot, fluid-model mean error).
-    """
-    from repro.errors import ServiceOverloadedError
-    from repro.mapreduce.service import JobService, fluid_prediction, sleep_spec
-
-    svc = JobService(
-        num_slots=int(w["service_slots"]),
-        queue_depth=int(w["service_queue_depth"]),
-        policy="fair",
-    )
-    submitted = 0
-    shed = 0
-    tickets = []
-    for j in range(int(w["service_jobs_per_tenant"])):
-        for tenant_index in range(int(w["service_tenants"])):
-            submitted += 1
-            try:
-                tickets.append(
-                    svc.submit(
-                        f"t{tenant_index}",
-                        sleep_spec(float(w["service_job_seconds"]), name=f"j{j}"),
-                    )
-                )
-            except ServiceOverloadedError:
-                shed += 1
-    svc.start()
-    for ticket in tickets:
-        ticket.result(timeout=60)
-    svc.drain(timeout=60)
-    health = svc.health()
-    svc.shutdown()
-
-    latencies_ms = sorted(1000.0 * t.latency for t in tickets)
-
-    def pct(fraction: float) -> float:
-        rank = min(len(latencies_ms) - 1, int(round(fraction * (len(latencies_ms) - 1))))
-        return latencies_ms[rank]
-
-    predicted = fluid_prediction(tickets, int(w["service_slots"]), "fair")
-    fluid_mae_ms = 1000.0 * sum(
-        abs(t.latency - predicted[t.id]) for t in tickets
-    ) / len(tickets)
-
-    metrics = {
-        "service_shed_rate": {
-            # Structural: burst admitted before the slots start, so this
-            # is a pure function of queue depth and gates exactly.
-            "value": round(shed / submitted, 4),
-            "unit": "shed/submitted",
-            "direction": "lower",
-            "tolerance": 0.0,
-            "exact": True,
-        },
-        "service_p50_latency_ms": {
-            "value": round(pct(0.50), 3),
-            "unit": "ms",
-            "direction": "lower",
-            "tolerance": 3.0,
-        },
-        "service_p99_latency_ms": {
-            "value": round(pct(0.99), 3),
-            "unit": "ms",
-            "direction": "lower",
-            "tolerance": 3.0,
-        },
-    }
-    info = {
-        "accepted": len(tickets),
-        "shed": shed,
-        "fluid_mean_abs_error_ms": round(fluid_mae_ms, 3),
-        "health": health,
-    }
-    return metrics, info
 
 
 def collect(
@@ -439,8 +354,6 @@ def collect(
             "exact": True,
         },
     }
-    service_metrics, service_info = _collect_service(w)
-    metrics.update(service_metrics)
     obs = {
         "spans": len(tracer.spans),
         "phase_coverage": round(obs_report.phase_coverage, 4),
@@ -452,7 +365,6 @@ def collect(
         "workload": w,
         "metrics": metrics,
         "obs": obs,
-        "service": service_info,
     }
 
 

@@ -11,8 +11,6 @@ Subcommands::
     repro bench     {table3,table4,table5,figure2}   regenerate a paper table
     repro obs report RUN.jsonl       summarize a telemetry run log
     repro obs chrome RUN.jsonl       convert a run log to a Chrome/Perfetto trace
-    repro service demo               job-service workload vs fluid-model latency
-    repro service stress             overload burst: shedding, breaker, drain
 
 Every command prints to stdout; ``cluster`` also writes ``--output``.
 ``cluster`` and ``diversity`` accept ``--obs RUN.jsonl`` and
@@ -283,116 +281,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_service_demo(args) -> int:
-    from repro.errors import ServiceOverloadedError
-    from repro.mapreduce.service import JobService, fluid_prediction, sleep_spec
-
-    tenants = [f"tenant{i}" for i in range(args.tenants)]
-    svc = JobService(
-        num_slots=args.slots,
-        queue_depth=args.queue_depth,
-        policy=args.policy,
-    )
-    tickets = []
-    shed = 0
-    # Submit the whole burst before starting the slots: admission (and
-    # any shedding) then depends only on queue depth, not thread timing.
-    for j in range(args.jobs):
-        for tenant in tenants:
-            try:
-                tickets.append(
-                    svc.submit(
-                        tenant, sleep_spec(args.job_seconds, name=f"{tenant}-j{j}")
-                    )
-                )
-            except ServiceOverloadedError:
-                shed += 1
-    svc.start()
-    for t in tickets:
-        t.result(timeout=60)
-    svc.shutdown()
-
-    predicted = fluid_prediction(tickets, args.slots, args.policy)
-    print(
-        f"policy={args.policy} slots={args.slots} "
-        f"jobs={len(tickets)} shed={shed}"
-    )
-    print(f"{'job':<16}{'tenant':<10}{'measured_s':>12}{'fluid_s':>10}")
-    for t in tickets:
-        print(
-            f"{t.id:<16}{t.tenant:<10}{t.latency:>12.3f}"
-            f"{predicted.get(t.id, float('nan')):>10.3f}"
-        )
-    health = svc.health()
-    print(f"totals: {health['totals']}")
-    return 0
-
-
-def cmd_service_stress(args) -> int:
-    import json
-    import time as _time
-
-    from repro.errors import CircuitOpenError, ServiceOverloadedError
-    from repro.mapreduce.faults import RetryPolicy
-    from repro.mapreduce.service import JobService, failing_spec, sleep_spec
-
-    svc = JobService(
-        num_slots=args.slots,
-        queue_depth=args.queue_depth,
-        policy=args.policy,
-        retry=RetryPolicy(max_attempts=2, backoff=0.01, jitter=1.0, seed=args.seed),
-        breaker_threshold=2,
-        breaker_cooldown=0.2,
-    )
-    tenants = [f"tenant{i}" for i in range(args.tenants)]
-    accepted, shed, rejected = [], 0, 0
-    # Overload burst: every tenant submits more than its queue holds.
-    for j in range(args.queue_depth * 3):
-        for tenant in tenants:
-            try:
-                accepted.append(
-                    svc.submit(
-                        tenant,
-                        sleep_spec(args.job_seconds, name=f"{tenant}-j{j}"),
-                        degradable=True,
-                    )
-                )
-            except ServiceOverloadedError:
-                shed += 1
-    svc.start()
-    for t in accepted:
-        t.result(timeout=60)
-    # One tenant misbehaves until its breaker trips.
-    bad = tenants[0]
-    for _ in range(3):
-        try:
-            svc.submit(bad, failing_spec()).event.wait(30)
-        except CircuitOpenError:
-            rejected += 1
-    _time.sleep(0.25)  # cooldown, then the probe job closes the breaker
-    svc.submit(bad, sleep_spec(args.job_seconds)).result(timeout=60)
-    drained = svc.drain(timeout=30)
-    health = svc.health()
-    svc.shutdown()
-    print(
-        f"accepted={len(accepted)} shed={shed} breaker_rejections={rejected} "
-        f"drained={drained}"
-    )
-    print(f"breaker[{bad}]={health['tenants'][bad]['breaker']}")
-    print(f"totals: {health['totals']}")
-    if args.health_json:
-        with open(args.health_json, "w") as fh:
-            json.dump(health, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.health_json}")
-    ok = (
-        drained
-        and health["tenants"][bad]["breaker"] == "closed"
-        and health["totals"]["queued"] == 0
-        and health["totals"]["running"] == 0
-    )
-    return 0 if ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -468,38 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default="trace.json", help="trace file to write"
     )
     pc.set_defaults(fn=cmd_obs_chrome)
-
-    p = sub.add_parser(
-        "service", help="multi-tenant job service (demo and stress harness)"
-    )
-    svc_sub = p.add_subparsers(dest="service_command", required=True)
-
-    def _add_service_args(sp) -> None:
-        sp.add_argument("--slots", type=int, default=2, help="driver slots")
-        sp.add_argument("--queue-depth", type=int, default=2)
-        sp.add_argument("--policy", choices=["fifo", "fair"], default="fair")
-        sp.add_argument("--tenants", type=int, default=3)
-        sp.add_argument(
-            "--job-seconds", type=float, default=0.02, help="per-job service time"
-        )
-
-    sd = svc_sub.add_parser(
-        "demo", help="run a small workload; compare measured vs fluid-model latency"
-    )
-    _add_service_args(sd)
-    sd.add_argument("--jobs", type=int, default=2, help="jobs per tenant")
-    sd.set_defaults(fn=cmd_service_demo)
-
-    ss = svc_sub.add_parser(
-        "stress", help="overload burst: shedding, breaker trip/recovery, drain"
-    )
-    _add_service_args(ss)
-    ss.add_argument("--seed", type=int, default=0, help="backoff jitter seed")
-    ss.add_argument(
-        "--health-json", default=None, metavar="PATH",
-        help="write the final health snapshot as JSON (CI artifact)",
-    )
-    ss.set_defaults(fn=cmd_service_stress)
 
     return parser
 

@@ -122,54 +122,6 @@ class JobKilledError(MapReduceError):
     """
 
 
-class ServiceError(ReproError):
-    """Errors raised by the multi-tenant job service layer."""
-
-
-class ServiceOverloadedError(ServiceError):
-    """Admission rejected: the tenant's queue is full (backpressure).
-
-    ``retry_after`` is the service's estimate, in seconds, of when a
-    resubmission is likely to be admitted (queue backlog divided by the
-    observed drain rate).  Clients should treat it as a hint, not a
-    guarantee — the canonical load-shedding contract.
-    """
-
-    def __init__(self, message: str, *, retry_after: float = 0.0):
-        self.retry_after = retry_after
-        super().__init__(f"{message} (retry after ~{retry_after:.2f}s)")
-
-
-class CircuitOpenError(ServiceError):
-    """Admission rejected: the tenant's circuit breaker is open.
-
-    The breaker trips after repeated consecutive job failures and
-    half-opens after ``retry_after`` seconds, at which point one probe
-    job is admitted; its outcome closes or re-opens the circuit.
-    """
-
-    def __init__(self, message: str, *, retry_after: float = 0.0):
-        self.retry_after = retry_after
-        super().__init__(f"{message} (retry after ~{retry_after:.2f}s)")
-
-
-class ServiceStoppedError(ServiceError):
-    """Submission rejected: the service is draining or shut down."""
-
-
-class DeadlineExceededError(ServiceError):
-    """A job overran its deadline and was cancelled.
-
-    Raised at the next cooperative cancellation point (task boundaries in
-    the runners) once the deadline passes, or immediately at dispatch for
-    jobs whose deadline expired while queued.
-    """
-
-
-class JobCancelledError(ServiceError):
-    """A job was cancelled by the client or by service shutdown."""
-
-
 class PigError(ReproError):
     """Errors raised by the Pig dataflow layer."""
 

@@ -17,22 +17,11 @@ execution substrate in pure Python:
   the discrete-event cluster model used to regenerate Figure 2.
 """
 
-from repro.errors import (
-    CircuitOpenError,
-    DeadlineExceededError,
-    FaultError,
-    JobCancelledError,
-    JobKilledError,
-    ServiceError,
-    ServiceOverloadedError,
-    ServiceStoppedError,
-    TaskFailedError,
-)
+from repro.errors import FaultError, JobKilledError, TaskFailedError
 from repro.mapreduce.types import JobConf, JobTrace, TaskTrace, stable_hash
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import MapReduceJob, identity_mapper, identity_reducer
 from repro.mapreduce.shuffle import default_partitioner, shuffle
-from repro.mapreduce.cancel import CancelScope, check_cancelled, current_scope
 from repro.mapreduce.faults import (
     BlockBitRot,
     DatanodeDegrade,
@@ -48,23 +37,6 @@ from repro.mapreduce.hdfs import BlockInfo, FileMeta, SimulatedHDFS
 from repro.mapreduce.costmodel import HadoopCostModel, M1_LARGE_COST_MODEL
 from repro.mapreduce.simulator import ClusterSpec, ClusterSimulator, SimReport
 from repro.mapreduce.inputformat import FastaInputFormat, TextInputFormat
-from repro.mapreduce.scheduler import (
-    WorkloadJob,
-    ScheduledJob,
-    job_from_trace,
-    simulate_schedule,
-    mean_latency,
-)
-from repro.mapreduce.service import (
-    CircuitBreaker,
-    ClusterJobSpec,
-    JobService,
-    JobTicket,
-    MapReduceSpec,
-    failing_spec,
-    fluid_prediction,
-    sleep_spec,
-)
 
 __all__ = [
     "JobConf",
@@ -82,23 +54,6 @@ __all__ = [
     "JobCheckpoint",
     "TaskFailedError",
     "JobKilledError",
-    "CancelScope",
-    "check_cancelled",
-    "current_scope",
-    "ServiceError",
-    "ServiceOverloadedError",
-    "ServiceStoppedError",
-    "CircuitOpenError",
-    "DeadlineExceededError",
-    "JobCancelledError",
-    "JobService",
-    "JobTicket",
-    "CircuitBreaker",
-    "MapReduceSpec",
-    "ClusterJobSpec",
-    "sleep_spec",
-    "failing_spec",
-    "fluid_prediction",
     "MapReduceJob",
     "identity_mapper",
     "identity_reducer",
@@ -117,9 +72,4 @@ __all__ = [
     "SimReport",
     "FastaInputFormat",
     "TextInputFormat",
-    "WorkloadJob",
-    "ScheduledJob",
-    "job_from_trace",
-    "simulate_schedule",
-    "mean_latency",
 ]

@@ -124,14 +124,6 @@ class RetryPolicy:
     ``margin x median(completed task durations)``.  ``0`` disables
     speculation.  Backoff between attempts is exponential:
     ``backoff * 2**(attempt-1)`` seconds, capped at ``backoff_cap``.
-
-    ``jitter`` in ``(0, 1]`` spreads that delay over
-    ``[(1-jitter)*d, d)`` using a seeded uniform draw (full jitter at
-    ``jitter=1``), so a fleet of jobs failing together does not retry in
-    lockstep and re-create the overload that failed them.  The draw is a
-    pure function of ``(seed, attempt)`` — same seed, same delays — and
-    the default ``jitter=0.0`` keeps the historical deterministic
-    schedule byte-identical.
     """
 
     max_attempts: int = 1
@@ -139,8 +131,6 @@ class RetryPolicy:
     speculative_margin: float = 0.0
     backoff: float = 0.0
     backoff_cap: float = 1.0
-    jitter: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -155,8 +145,6 @@ class RetryPolicy:
             )
         if self.backoff < 0:
             raise MapReduceError(f"backoff must be >= 0, got {self.backoff}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise MapReduceError(f"jitter must be in [0,1], got {self.jitter}")
 
     @classmethod
     def from_conf(cls, conf) -> "RetryPolicy":
@@ -170,14 +158,7 @@ class RetryPolicy:
 
     def backoff_delay(self, attempt: int) -> float:
         """Sleep before retry number ``attempt`` (1-based failed attempt)."""
-        if self.backoff <= 0:
-            return 0.0
-        delay = min(self.backoff_cap, self.backoff * (2.0 ** (attempt - 1)))
-        if self.jitter <= 0:
-            return delay
-        token = f"{self.seed}|backoff-jitter|{attempt}".encode()
-        draw = int.from_bytes(hashlib.sha256(token).digest()[:8], "big") / 2**64
-        return delay * (1.0 - self.jitter) + delay * self.jitter * draw
+        return min(self.backoff_cap, self.backoff * (2.0 ** (attempt - 1)))
 
 
 def records_checksum(records: Sequence[tuple]) -> int:

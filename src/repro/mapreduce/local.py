@@ -48,7 +48,6 @@ from multiprocessing import get_context
 from statistics import median
 
 from repro.errors import FaultError, MapReduceError
-from repro.mapreduce.cancel import check_cancelled
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.faults import FaultPlan, JobCheckpoint, RetryPolicy
 from repro.mapreduce.job import MapReduceJob
@@ -265,7 +264,6 @@ class MultiprocessRunner(SerialRunner):
             submit(state, speculative=False)
 
         while not all(state.done for state in by_index.values()):
-            check_cancelled(f"{tasks[0].kind} phase poll")
             progressed = False
             now = time.monotonic()
             for att in list(active):

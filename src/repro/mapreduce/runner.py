@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 from statistics import median
 
 from repro.errors import FaultError, MapReduceError, TaskFailedError
-from repro.mapreduce.cancel import check_cancelled
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.faults import (
     FaultPlan,
@@ -570,7 +569,6 @@ class SerialRunner:
         tracer = current_tracer()
         durations: list[float] = []  # the straggler threshold's median
         for task in tasks:
-            check_cancelled(task.task_id)  # cooperative deadline/cancel point
             with tracer.span(
                 f"task:{task.task_id}", kind="task", task_id=task.task_id,
                 task_kind=task.kind,
@@ -606,7 +604,6 @@ class SerialRunner:
         attempt = 0
         while True:
             attempt += 1
-            check_cancelled(task_id)
             fault = (
                 plan.fault_for(job.name, task.kind, task.index, attempt)
                 if plan

@@ -122,7 +122,7 @@ class Tracer:
         self.spans: list[Span] = []
         self.metrics = MetricsRegistry()
         # itertools.count is atomic under the GIL, so span ids stay unique
-        # when service worker threads share one tracer.
+        # even if several threads share one tracer.
         self._ids = itertools.count(1)
 
     # ---- clock -----------------------------------------------------------

@@ -157,16 +157,6 @@ def test_committed_snapshot_is_wellformed():
         metrics["shuffle_bytes_wire"]["value"]
         < metrics["shuffle_bytes_raw"]["value"]
     )
-    # Service section (schema 3): structural shed rate gates exactly —
-    # 2 tenants x 6 jobs into depth-2 queues sheds 8 of 12.
-    assert metrics["service_shed_rate"]["exact"] is True
-    assert metrics["service_shed_rate"]["value"] == pytest.approx(8 / 12, abs=1e-4)
-    assert metrics["service_p99_latency_ms"]["value"] >= metrics[
-        "service_p50_latency_ms"
-    ]["value"]
-    assert doc["service"]["accepted"] == 4
-    assert doc["service"]["shed"] == 8
-    assert doc["service"]["health"]["totals"]["completed"] == 4
     # A snapshot always passes the gate against itself.
     assert compare(doc, doc) == []
 

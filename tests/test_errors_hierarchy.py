@@ -19,28 +19,6 @@ class TestHierarchy:
         assert issubclass(errors.SimulationError, errors.MapReduceError)
         assert issubclass(errors.PigParseError, errors.PigError)
 
-    def test_service_error_parentage(self):
-        for exc_type in (
-            errors.ServiceOverloadedError,
-            errors.CircuitOpenError,
-            errors.ServiceStoppedError,
-            errors.DeadlineExceededError,
-            errors.JobCancelledError,
-        ):
-            assert issubclass(exc_type, errors.ServiceError)
-        assert issubclass(errors.ServiceError, errors.ReproError)
-        # Service errors are a peer domain, not engine errors: catching
-        # MapReduceError must not swallow an admission rejection.
-        assert not issubclass(errors.ServiceError, errors.MapReduceError)
-
-    def test_retry_after_hint_formatting(self):
-        exc = errors.ServiceOverloadedError("queue full", retry_after=1.5)
-        assert exc.retry_after == 1.5
-        assert "1.50s" in str(exc)
-        open_exc = errors.CircuitOpenError("tripped", retry_after=0.25)
-        assert open_exc.retry_after == 0.25
-        assert "0.25s" in str(open_exc)
-
     def test_line_number_formatting(self):
         exc = errors.FastaParseError("bad record", line_number=7)
         assert "line 7" in str(exc)
@@ -128,47 +106,3 @@ class TestClusteringErrorTaxonomy:
             run_sparse_jobs([])
         with pytest.raises(errors.ClusteringError):
             run_sparse_jobs([], band_size=0)
-
-
-class TestSchedulerPipelineIntegration:
-    def test_table3_workload_fifo_vs_fair(self):
-        """Schedule several real pipeline runs as a shared-cluster
-        workload: fair sharing must not change the makespan but must cut
-        the short job's latency when queued behind long ones."""
-        from repro.cluster.pipeline import MrMCMinH
-        from repro.datasets import generate_whole_metagenome_sample
-        from repro.mapreduce.scheduler import (
-            job_from_trace,
-            mean_latency,
-            simulate_schedule,
-        )
-        from repro.mapreduce.types import JobTrace
-
-        def pipeline_as_job(sid, num_reads, arrival):
-            reads = generate_whole_metagenome_sample(
-                sid, num_reads=num_reads, genome_length=4000, seed=0
-            )
-            run = MrMCMinH(kmer_size=5, num_hashes=48, threshold=0.78, seed=0).fit(reads)
-            merged = JobTrace(job_name=sid)
-            for t in run.traces:
-                merged.map_tasks.extend(t.map_tasks)
-                merged.reduce_tasks.extend(t.reduce_tasks)
-            return job_from_trace(merged, arrival=arrival)
-
-        jobs = [
-            pipeline_as_job("S1", 120, arrival=0.0),
-            pipeline_as_job("S13", 30, arrival=1.0),  # the short job
-        ]
-        capacity = 16.0  # 8 nodes x 2 map slots
-        fifo = {o.name: o for o in simulate_schedule(jobs, capacity, policy="fifo")}
-        fair = {o.name: o for o in simulate_schedule(jobs, capacity, policy="fair")}
-
-        assert fair["S13"].latency <= fifo["S13"].latency + 1e-9
-        # With parallelism caps the policies can pack capacity slightly
-        # differently; fair must never be meaningfully worse overall.
-        assert max(o.finish for o in fair.values()) <= (
-            max(o.finish for o in fifo.values()) * 1.05
-        )
-        # mean_latency is reported, not asserted: fair sharing optimises
-        # fairness, not mean latency (SRPT would).
-        assert mean_latency(list(fair.values())) > 0

@@ -239,39 +239,3 @@ class TestPipelineIntegration:
         ).fit(two_family_records)
         assert run.mode == "engine"
         assert run.assignment.num_sequences == len(two_family_records)
-
-
-class TestServiceIntegration:
-    def test_engine_spec_routes_through_service(self, two_family_records):
-        from repro.mapreduce.service import ClusterJobSpec, JobService
-
-        spec = ClusterJobSpec(
-            records=tuple(two_family_records),
-            kmer_size=5, num_hashes=32, threshold=0.6,
-            method="hierarchical", linkage="single", sparse="engine",
-        )
-        svc = JobService(num_slots=1)
-        svc.start()
-        try:
-            ticket = svc.submit("t0", spec)
-            run = ticket.result(timeout=60)
-        finally:
-            svc.shutdown()
-        assert run.mode == "engine"
-        expected = MrMCMinH(
-            kmer_size=5, num_hashes=32, threshold=0.6,
-            method="hierarchical", linkage="single", sparse=True,
-        ).fit(two_family_records)
-        assert run.assignment.to_tsv() == expected.assignment.to_tsv()
-
-    def test_degraded_engine_spec_stays_on_engine(self, two_family_records):
-        from repro.mapreduce.service import ClusterJobSpec
-        from repro.mapreduce.runner import SerialRunner
-
-        spec = ClusterJobSpec(
-            records=tuple(two_family_records),
-            kmer_size=5, num_hashes=32, threshold=0.6,
-            method="hierarchical", linkage="single", sparse="engine",
-        )
-        run = spec.execute(SerialRunner(), degraded=True)
-        assert run.mode == "engine"
